@@ -5,7 +5,8 @@ usage: python3 perfbench/run.py --workload NAME [--seed N] [--seconds S]
                                 [--trace 0|1 | --traced]
        python3 perfbench/run.py --help
 
-Run it from the repository root. The first run configures and builds
+Run it from the repository root. S defaults to BENCHMARK.json's
+run_seconds, N to 1. The first run configures and builds
 libnetcons and the driver into $CARGO_TARGET_DIR/perfbench (default
 .bench_build/perfbench); later runs rebuild incrementally. Build output
 goes to stderr. Stdout carries the driver's table and, as its last line,
@@ -23,6 +24,7 @@ Exit status: the driver's (0 = every check passed, 1 = a check failed),
 2 on bad arguments, 3 when the build fails. --help never builds or runs.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -51,9 +53,15 @@ def build(targets=("perfbench_driver",)):
     return out
 
 
+def run_seconds():
+    """BENCHMARK.json's run_seconds, the default length of a run."""
+    with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json")) as handle:
+        return str(json.load(handle)["run_seconds"])
+
+
 def parse(argv):
     """Returns (options dict, error message or None)."""
-    options = {"--seed": "1", "--seconds": "20", "--trace": "0"}
+    options = {"--seed": "1", "--trace": "0"}
     i = 0
     while i < len(argv):
         arg = argv[i]
@@ -85,6 +93,7 @@ def main(argv):
         what = f"unknown workload '{workload}'" if workload else "--workload is required"
         print(f"run.py: {what}; valid workloads: {', '.join(WORKLOADS)}", file=sys.stderr)
         return 2
+    options.setdefault("--seconds", run_seconds())
     try:
         out = build()
     except (subprocess.CalledProcessError, OSError) as failure:

@@ -12,21 +12,21 @@
 #include <iostream>
 #include <thread>
 
-#include <unistd.h>
-
 namespace {
 
 using namespace perfbench;
 
 constexpr const char* kUsage =
-    R"(usage: perfbench_driver --workload NAME [--seed N] [--seconds S] [--trace 0|1 | --traced]
-                        [--threads T] [--work DIR] [--trace-out FILE]
+    R"(usage: perfbench_driver --workload NAME --seconds S --work DIR --trace-out FILE
+                        [--seed N] [--trace 0|1 | --traced]
        perfbench_driver --list-metrics
        perfbench_driver --help
 
-Runs one benchmark workload for S seconds (default 20) with inputs drawn
-from seed N (default 1), checks every output, and prints a table followed
-by one JSON line: {"correct", "attempted", "failed", "metrics"}.
+Runs one benchmark workload for S seconds with inputs drawn from seed N
+(default 1), checks every output, and prints a table followed by one JSON
+line: {"correct", "attempted", "failed", "metrics"}. DIR is a scratch
+directory, removed at exit. perfbench/run.py builds the driver and passes
+every flag.
   --trace 0   (default) the end-to-end metrics, measured untraced
   --trace 1   the per-layer metrics, from spans the benchmark records around
               its calls into the library (also: --traced); the spans are
@@ -69,7 +69,6 @@ int main(int argc, char** argv) {
   std::string work;
   std::string trace_out;
   bool list_metrics = false;
-  bool threads_given = false;
   const auto value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
       std::cerr << argv[i] << " needs a value\n" << kUsage;
@@ -109,14 +108,6 @@ int main(int argc, char** argv) {
       options.traced = mode == "1";
     } else if (arg == "--traced") {
       options.traced = true;
-    } else if (arg == "--threads") {
-      const auto threads = netcons::campaign::parse_i(value(i));
-      if (!threads || *threads < 1) {
-        std::cerr << "--threads needs a positive integer\n";
-        return 2;
-      }
-      options.threads = *threads;
-      threads_given = true;
     } else if (arg == "--work") {
       work = value(i);
     } else if (arg == "--trace-out") {
@@ -139,17 +130,14 @@ int main(int argc, char** argv) {
               << "; valid workloads: large-n, paper-sweep, serve-mixed\n";
     return 2;
   }
-  if (!threads_given) {
-    const unsigned hardware = std::thread::hardware_concurrency();
-    options.threads = std::clamp(static_cast<int>(hardware == 0 ? 1 : hardware), 1, 4);
+  if (options.seconds <= 0 || work.empty() || trace_out.empty()) {
+    std::cerr << "--seconds, --work and --trace-out are required\n" << kUsage;
+    return 2;
   }
-  const std::filesystem::path root = ".bench_build/perfbench";
-  options.work = work.empty() ? root / ("run-" + std::to_string(::getpid()))
-                              : std::filesystem::path(work);
-  options.trace = trace_out.empty() ? root / "traces" /
-                                          (options.workload + "-seed" +
-                                           std::to_string(options.seed) + ".json")
-                                    : std::filesystem::path(trace_out);
+  const unsigned hardware = std::thread::hardware_concurrency();
+  options.threads = std::clamp(static_cast<int>(hardware == 0 ? 1 : hardware), 1, 4);
+  options.work = work;
+  options.trace = trace_out;
   const ScratchDir scratch{options.work};
   std::filesystem::create_directories(options.work);
 

@@ -1,9 +1,10 @@
 // The benchmark's own arithmetic, kept free of I/O so tests/test_stats.cpp
-// can pin it down: percentiles and the tail-sample rule, interval self
-// time, pool idle fraction, and per-step costs.
+// can pin it down: percentiles and the tail-sample rule, the latency
+// histogram, interval self time, pool idle fraction, and per-step costs.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -90,5 +91,68 @@ struct Interval {
   for (const double v : values) sum += v;
   return sum / static_cast<double>(values.size());
 }
+
+/// Latencies in a fixed footprint: kPerOctave log-spaced buckets per
+/// doubling from kLowest upward, plus an underflow and an overflow bucket.
+/// Memory does not grow with the sample count, so a client that records
+/// every request does not move the process's peak RSS. quantile() uses the
+/// rank rule of the exact quantile() above and interpolates linearly inside
+/// the bucket that holds the rank, so it lands within one bucket width
+/// (2^(1/64) - 1, about 1.1%) of the exact figure.
+class LogHistogram {
+ public:
+  static constexpr int kPerOctave = 64;
+  static constexpr int kOctaves = 30;
+  static constexpr double kLowest = 1e-4;  ///< Lower edge of the first log bucket.
+  static constexpr std::size_t kBuckets = std::size_t{kPerOctave} * kOctaves + 2;
+
+  void add(double value) noexcept { ++counts_[bucket_of(value)]; }
+
+  void merge(const LogHistogram& other) noexcept {
+    for (std::size_t b = 0; b < kBuckets; ++b) counts_[b] += other.counts_[b];
+  }
+
+  [[nodiscard]] std::uint64_t count() const noexcept {
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : counts_) total += c;
+    return total;
+  }
+
+  /// Quantile `q` in [0, 1]; 0 when empty.
+  [[nodiscard]] double quantile(double q) const noexcept {
+    const std::uint64_t total = count();
+    if (total == 0) return 0.0;
+    const double position = std::clamp(q, 0.0, 1.0) * static_cast<double>(total - 1);
+    std::uint64_t before = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      if (counts_[b] == 0) continue;
+      if (position < static_cast<double>(before + counts_[b])) {
+        const double within =
+            (position - static_cast<double>(before) + 0.5) / static_cast<double>(counts_[b]);
+        return lower_edge(b) + (upper_edge(b) - lower_edge(b)) * std::clamp(within, 0.0, 1.0);
+      }
+      before += counts_[b];
+    }
+    return upper_edge(kBuckets - 1);
+  }
+
+  [[nodiscard]] static std::size_t bucket_of(double value) noexcept {
+    if (!(value >= kLowest)) return 0;
+    const double index = std::floor(std::log2(value / kLowest) * kPerOctave) + 1.0;
+    return index >= static_cast<double>(kBuckets - 1) ? kBuckets - 1
+                                                      : static_cast<std::size_t>(index);
+  }
+  [[nodiscard]] static double lower_edge(std::size_t bucket) noexcept {
+    if (bucket == 0) return 0.0;
+    return kLowest * std::exp2(static_cast<double>(bucket - 1) / kPerOctave);
+  }
+  [[nodiscard]] static double upper_edge(std::size_t bucket) noexcept {
+    if (bucket == kBuckets - 1) return lower_edge(bucket);
+    return kLowest * std::exp2(static_cast<double>(bucket) / kPerOctave);
+  }
+
+ private:
+  std::array<std::uint64_t, kBuckets> counts_{};
+};
 
 }  // namespace perfbench

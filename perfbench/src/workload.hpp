@@ -26,9 +26,9 @@ class TrialLog;
 struct Options {
   std::string workload;
   std::uint64_t seed = 1;
-  double seconds = 20.0;
+  double seconds = 0.0;         ///< Length of the timed window (required).
   bool traced = false;
-  int threads = 4;              ///< Campaign threads, clients and HTTP workers.
+  int threads = 4;              ///< min(nproc, 4): campaign threads; serve-mixed uses half.
   std::filesystem::path work;   ///< Scratch directory (records, caches).
   std::filesystem::path trace;  ///< Traced runs write their spans here.
 };
@@ -62,7 +62,7 @@ inline constexpr std::array<MetricName, 9> kEndToEnd{{
     {"peak_rss_mb", "MB"},
     {"req_per_s", "1/s"},
     {"req_ms_p50", "ms"},
-    {"req_ms_p99", "ms"},
+    {"req_ms_p90", "ms"},
     {"miss_ms_p50", "ms"},
 }};
 

@@ -72,6 +72,8 @@ class BenchmarkTest(unittest.TestCase):
         self.assertEqual(self.driver("--workload", "large-n", "--trace", "2").returncode, 2)
         self.assertEqual(self.driver("--workload", "large-n", "--seed", "x").returncode, 2)
         self.assertEqual(self.driver("--bogus").returncode, 2)
+        # run.py passes --seconds, --work and --trace-out; the driver has no defaults.
+        self.assertEqual(self.driver("--workload", "large-n").returncode, 2)
 
     def test_spread_matches_statistics_quantiles(self):
         values = [10.0, 11.0, 9.5, 10.5, 12.0, 10.2, 9.8, 10.1, 10.4, 9.9]

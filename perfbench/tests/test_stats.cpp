@@ -1,5 +1,5 @@
-// The benchmark's own arithmetic: the percentile rule, self-time
-// subtraction, idle fraction and per-step costs. A plain executable (exit
+// The benchmark's own arithmetic: the percentile rule, the latency
+// histogram, self-time subtraction, idle fraction and per-step costs. A plain executable (exit
 // status 0 = all checks passed), run by perfbench/test_benchmark.py.
 #include "stats.hpp"
 #include "trace.hpp"
@@ -41,6 +41,33 @@ int main() {
   check(!tail_reportable(99, 90), "p90 not reportable at 99 samples");
   check(!tail_reportable(160, 99), "p99 not reportable at 160 samples");
   check(samples_beyond(5, 99) == 0, "tiny sets have nothing beyond p99");
+
+  // The latency histogram tracks the exact quantiles within one bucket width.
+  {
+    LogHistogram histogram, half;
+    std::vector<double> samples;
+    for (int i = 0; i < 20000; ++i) {
+      const double value = 0.05 * std::exp(std::sin(i * 0.7) * 2.0 + (i % 13) * 0.1);
+      samples.push_back(value);
+      (i % 2 == 0 ? histogram : half).add(value);
+    }
+    histogram.merge(half);
+    check(histogram.count() == samples.size(), "merge keeps every sample");
+    for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
+      const double exact = quantile(samples, q);
+      check(std::fabs(histogram.quantile(q) - exact) <= exact * 0.012,
+            "histogram q" + std::to_string(q) + " within a bucket of the exact quantile");
+    }
+    LogHistogram one;
+    one.add(2.0);
+    check(one.quantile(0.5) >= LogHistogram::lower_edge(LogHistogram::bucket_of(2.0)) &&
+              one.quantile(0.5) <= LogHistogram::upper_edge(LogHistogram::bucket_of(2.0)),
+          "a single sample reads inside its own bucket");
+    check(LogHistogram{}.quantile(0.5) == 0.0, "an empty histogram gives 0");
+    check(LogHistogram::bucket_of(0.0) == 0 && LogHistogram::bucket_of(1e12) ==
+                                                   LogHistogram::kBuckets - 1,
+          "out-of-range values land in the end buckets");
+  }
 
   // Self time: overlapping children count once, parts outside are clipped.
   check(covered({0, 100}, {{10, 30}, {20, 40}, {90, 120}}) == 40, "union of children");
