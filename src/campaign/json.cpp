@@ -55,8 +55,13 @@ class Parser {
     skip_whitespace();
     if (pos_ >= text_.size()) throw std::runtime_error("json: unexpected end");
     const char c = text_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) throw std::runtime_error("json: nesting too deep");
+      ++depth_;
+      Value nested = c == '{' ? object() : array();
+      --depth_;
+      return nested;
+    }
     if (c == '"') return Value{string(), {}};
     if (c == 't' || c == 'f') return boolean();
     if (c == 'n') {
@@ -198,6 +203,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< Arrays/objects open around the current position.
 };
 
 }  // namespace

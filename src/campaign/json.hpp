@@ -35,9 +35,14 @@ struct Value {
   [[nodiscard]] const Array& as_array() const;
 };
 
+/// Deepest array/object nesting parse() accepts -- far above any document
+/// netcons writes, and a bound on the parser's recursion for hostile input.
+inline constexpr int kMaxDepth = 512;
+
 /// Parse a complete JSON document. Throws std::runtime_error on malformed
-/// input or trailing content. Takes a view so JSONL consumers can parse
-/// line slices of a large buffer without per-line copies.
+/// input, trailing content, or nesting deeper than kMaxDepth. Takes a view
+/// so JSONL consumers can parse line slices of a large buffer without
+/// per-line copies.
 [[nodiscard]] Value parse(std::string_view text);
 
 /// Required-field lookup; throws std::runtime_error naming the key.

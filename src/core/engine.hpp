@@ -26,6 +26,7 @@
 #include "core/protocol.hpp"
 #include "core/world.hpp"
 #include "util/rng.hpp"
+#include "util/saturating.hpp"
 
 #include <algorithm>
 #include <cstdint>
@@ -143,7 +144,7 @@ class Engine {
                                                    : std::max<std::uint64_t>(512, nn * nn);
     budget.max_steps = options.max_steps
                            ? options.max_steps
-                           : std::max<std::uint64_t>(1'000'000, nn * nn * nn * 64);
+                           : std::max<std::uint64_t>(1'000'000, step_budget(64, n, 3, 0));
     return budget;
   }
 

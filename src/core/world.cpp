@@ -23,7 +23,7 @@ World::World(const Protocol& protocol, int n, EdgeStorage storage) : n_(n) {
     adj_inline_.assign(static_cast<std::size_t>(n) * kInlineNeighbors, 0);
     adjacency_.assign(static_cast<std::size_t>(n), {});
   } else {
-    edge_bits_.assign((Graph::pair_count(n) + 63) / 64, 0);
+    edge_bits_.assign((pair_count(n) + 63) / 64, 0);
   }
   degree_.assign(static_cast<std::size_t>(n), 0);
   census_.assign(static_cast<std::size_t>(protocol.state_count()), 0);
@@ -123,7 +123,7 @@ void World::kill(int u) {
 
 bool World::set_edge(int u, int v, bool active) {
   if (!sparse_) {
-    const std::size_t i = Graph::pair_index(u, v);
+    const std::size_t i = pair_index(u, v);
     const std::uint64_t mask = 1ULL << (i % 64);
     const bool old = (edge_bits_[i / 64] & mask) != 0;
     if (old == active) return false;

@@ -23,6 +23,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace netcons {
@@ -85,6 +86,18 @@ class World {
 
   [[nodiscard]] int size() const noexcept { return n_; }
 
+  /// Index of the unordered pair {u, v} (u != v) in the dense triangular
+  /// layout: v(v-1)/2 + u for u < v.
+  [[nodiscard]] static std::size_t pair_index(int u, int v) noexcept {
+    if (u > v) std::swap(u, v);
+    return static_cast<std::size_t>(v) * (static_cast<std::size_t>(v) - 1) / 2 +
+           static_cast<std::size_t>(u);
+  }
+  /// Number of unordered pairs over n nodes.
+  [[nodiscard]] static std::size_t pair_count(int n) noexcept {
+    return static_cast<std::size_t>(n) * (static_cast<std::size_t>(n) - 1) / 2;
+  }
+
   /// Whether edges live in per-node adjacency lists (true) or the dense
   /// triangular bitset (false).
   [[nodiscard]] bool sparse_edges() const noexcept { return sparse_; }
@@ -113,7 +126,7 @@ class World {
 
   [[nodiscard]] bool edge(int u, int v) const noexcept {
     if (!sparse_) {
-      const std::size_t i = Graph::pair_index(u, v);
+      const std::size_t i = pair_index(u, v);
       return (edge_bits_[i / 64] >> (i % 64)) & 1ULL;
     }
     return sparse_edge(u, v);

@@ -1,6 +1,7 @@
 #include "faults/fault_session.hpp"
 
 #include "telemetry/telemetry.hpp"
+#include "util/saturating.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -302,13 +303,13 @@ ConvergenceReport run_until_stable_with_faults(Engine& sim, FaultSession& sessio
 
   const std::uint64_t phase_budget =
       Engine::resolve_stability_budget(sim.world().size(), options).max_steps;
-  const std::uint64_t total_cap = phase_budget * (session.episode_bound() + 1);
+  const std::uint64_t total_cap = saturating_mul(phase_budget, session.episode_bound() + 1);
 
   sim.set_interceptor(&session);
   ConvergenceReport report;
   while (true) {
     Engine::StabilityOptions phase = options;
-    phase.max_steps = std::min(total_cap, sim.steps() + phase_budget);
+    phase.max_steps = std::min(total_cap, saturating_add(sim.steps(), phase_budget));
     report = sim.run_until_stable(phase);
     if (!report.stabilized) break;
     if (session.stabilization_pending()) {

@@ -1,65 +1,50 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace netcons {
 
 Graph::Graph(int n) : n_(n) {
   if (n < 0) throw std::invalid_argument("Graph: negative order");
-  bits_.assign((pair_count(n) + 63) / 64, 0);
-  degree_.assign(static_cast<std::size_t>(n), 0);
-}
-
-std::size_t Graph::pair_index(int u, int v) noexcept {
-  assert(u != v);
-  if (u > v) std::swap(u, v);
-  return static_cast<std::size_t>(v) * (static_cast<std::size_t>(v) - 1) / 2 +
-         static_cast<std::size_t>(u);
-}
-
-std::size_t Graph::pair_count(int n) noexcept {
-  return static_cast<std::size_t>(n) * (static_cast<std::size_t>(n) - 1) / 2;
+  adj_.resize(static_cast<std::size_t>(n));
 }
 
 bool Graph::has_edge(int u, int v) const noexcept {
   if (u == v) return false;
-  const std::size_t i = pair_index(u, v);
-  return (bits_[i / 64] >> (i % 64)) & 1ULL;
+  if (degree(v) < degree(u)) std::swap(u, v);
+  const std::vector<int>& row = adj_[static_cast<std::size_t>(u)];
+  return std::binary_search(row.begin(), row.end(), v);
 }
 
 bool Graph::set_edge(int u, int v, bool active) {
   if (u == v || u < 0 || v < 0 || u >= n_ || v >= n_) {
     throw std::out_of_range("Graph::set_edge: bad endpoints");
   }
-  const std::size_t i = pair_index(u, v);
-  const std::uint64_t mask = 1ULL << (i % 64);
-  const bool old = (bits_[i / 64] & mask) != 0;
+  std::vector<int>& row_u = adj_[static_cast<std::size_t>(u)];
+  std::vector<int>& row_v = adj_[static_cast<std::size_t>(v)];
+  const auto at_u = std::lower_bound(row_u.begin(), row_u.end(), v);
+  const bool old = at_u != row_u.end() && *at_u == v;
   if (old == active) return false;
-  bits_[i / 64] ^= mask;
-  const int delta = active ? 1 : -1;
-  degree_[static_cast<std::size_t>(u)] += delta;
-  degree_[static_cast<std::size_t>(v)] += delta;
-  edges_ += delta;
-  return true;
-}
-
-std::vector<int> Graph::neighbors(int u) const {
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(degree(u)));
-  for (int v = 0; v < n_; ++v) {
-    if (v != u && has_edge(u, v)) out.push_back(v);
+  const auto at_v = std::lower_bound(row_v.begin(), row_v.end(), u);
+  if (active) {
+    row_u.insert(at_u, v);
+    row_v.insert(at_v, u);
+  } else {
+    row_u.erase(at_u);
+    row_v.erase(at_v);
   }
-  return out;
+  edges_ += active ? 1 : -1;
+  return true;
 }
 
 std::vector<std::pair<int, int>> Graph::edges() const {
   std::vector<std::pair<int, int>> out;
   out.reserve(static_cast<std::size_t>(edges_));
   for (int v = 1; v < n_; ++v) {
-    for (int u = 0; u < v; ++u) {
-      if (has_edge(u, v)) out.emplace_back(u, v);
+    for (const int u : adj_[static_cast<std::size_t>(v)]) {
+      if (u > v) break;
+      out.emplace_back(u, v);
     }
   }
   return out;
@@ -79,8 +64,8 @@ std::vector<std::vector<int>> Graph::components() const {
       const int u = stack.back();
       stack.pop_back();
       comps[static_cast<std::size_t>(id)].push_back(u);
-      for (int v = 0; v < n_; ++v) {
-        if (label[static_cast<std::size_t>(v)] == -1 && has_edge(u, v)) {
+      for (const int v : adj_[static_cast<std::size_t>(u)]) {
+        if (label[static_cast<std::size_t>(v)] == -1) {
           label[static_cast<std::size_t>(v)] = id;
           stack.push_back(v);
         }
@@ -91,10 +76,20 @@ std::vector<std::vector<int>> Graph::components() const {
 }
 
 Graph Graph::induced(const std::vector<int>& nodes) const {
+  // (original id, new id), sorted for lookup: O((k + m_k) log k), never O(n).
+  std::vector<std::pair<int, int>> relabel;
+  relabel.reserve(nodes.size());
+  for (std::size_t a = 0; a < nodes.size(); ++a) {
+    relabel.emplace_back(nodes[a], static_cast<int>(a));
+  }
+  std::sort(relabel.begin(), relabel.end());
   Graph g(static_cast<int>(nodes.size()));
   for (std::size_t a = 0; a < nodes.size(); ++a) {
-    for (std::size_t b = a + 1; b < nodes.size(); ++b) {
-      if (has_edge(nodes[a], nodes[b])) g.add_edge(static_cast<int>(a), static_cast<int>(b));
+    for (const int w : adj_[static_cast<std::size_t>(nodes[a])]) {
+      for (auto it = std::lower_bound(relabel.begin(), relabel.end(), std::pair{w, 0});
+           it != relabel.end() && it->first == w; ++it) {
+        if (it->second > static_cast<int>(a)) g.add_edge(static_cast<int>(a), it->second);
+      }
     }
   }
   return g;
@@ -103,11 +98,9 @@ Graph Graph::induced(const std::vector<int>& nodes) const {
 std::string Graph::adjacency_bits() const {
   std::string s(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), '0');
   for (int u = 0; u < n_; ++u) {
-    for (int v = 0; v < n_; ++v) {
-      if (u != v && has_edge(u, v)) {
-        s[static_cast<std::size_t>(u) * static_cast<std::size_t>(n_) +
-          static_cast<std::size_t>(v)] = '1';
-      }
+    for (const int v : adj_[static_cast<std::size_t>(u)]) {
+      s[static_cast<std::size_t>(u) * static_cast<std::size_t>(n_) + static_cast<std::size_t>(v)] =
+          '1';
     }
   }
   return s;

@@ -1,6 +1,9 @@
-// Simple undirected graph on nodes {0..n-1}, stored as a triangular edge
-// bitset plus cached degrees. This is the "output graph" type extracted from
-// configurations and the input type of every topology predicate.
+// Simple undirected graph on nodes {0..n-1}, stored as one sorted adjacency
+// row per node. This is the "output graph" type extracted from
+// configurations and the input type of every topology predicate, so every
+// walk over it -- neighbors, edges(), components() -- is O(n + m) in time
+// and memory: the paper's protocols keep O(n) edges alive, and a target
+// check at n = 10^6 must not pay for the n^2/2 pairs that are off.
 #pragma once
 
 #include <cstdint>
@@ -18,27 +21,28 @@ class Graph {
   [[nodiscard]] int order() const noexcept { return n_; }
   [[nodiscard]] std::int64_t edge_count() const noexcept { return edges_; }
 
-  /// Index of the unordered pair {u, v} (u != v) in the triangular layout.
-  [[nodiscard]] static std::size_t pair_index(int u, int v) noexcept;
-  /// Number of unordered pairs over n nodes.
-  [[nodiscard]] static std::size_t pair_count(int n) noexcept;
-
+  /// Binary search on the lower-degree endpoint's row.
   [[nodiscard]] bool has_edge(int u, int v) const noexcept;
   /// Sets the edge state; returns true if the state changed.
   bool set_edge(int u, int v, bool active);
   void add_edge(int u, int v) { set_edge(u, v, true); }
   void remove_edge(int u, int v) { set_edge(u, v, false); }
 
-  [[nodiscard]] int degree(int u) const noexcept { return degree_[static_cast<std::size_t>(u)]; }
-  [[nodiscard]] const std::vector<int>& degrees() const noexcept { return degree_; }
+  [[nodiscard]] int degree(int u) const noexcept {
+    return static_cast<int>(adj_[static_cast<std::size_t>(u)].size());
+  }
 
-  /// Neighbors of u (O(n) scan; fine for the small graphs we analyze).
-  [[nodiscard]] std::vector<int> neighbors(int u) const;
+  /// Neighbors of u, ascending (a copy of u's row, so callers may mutate
+  /// the graph while walking it).
+  [[nodiscard]] std::vector<int> neighbors(int u) const {
+    return adj_[static_cast<std::size_t>(u)];
+  }
 
-  /// All active edges as (u, v) pairs with u < v.
+  /// All active edges as (u, v) pairs with u < v, ordered by v then u.
   [[nodiscard]] std::vector<std::pair<int, int>> edges() const;
 
-  /// Connected components as node lists (singletons included).
+  /// Connected components as node lists (singletons included): components
+  /// in order of their smallest node, nodes in depth-first stack order.
   [[nodiscard]] std::vector<std::vector<int>> components() const;
 
   [[nodiscard]] bool operator==(const Graph& other) const noexcept = default;
@@ -60,8 +64,7 @@ class Graph {
  private:
   int n_ = 0;
   std::int64_t edges_ = 0;
-  std::vector<std::uint64_t> bits_;
-  std::vector<int> degree_;
+  std::vector<std::vector<int>> adj_;  ///< Sorted neighbor rows, one per node.
 };
 
 }  // namespace netcons

@@ -21,6 +21,7 @@
 #include "protocols/protocols.hpp"
 
 #include "graph/predicates.hpp"
+#include "util/saturating.hpp"
 
 #include <stdexcept>
 #include <vector>
@@ -165,8 +166,7 @@ ProtocolSpec c_cliques(int c) {
     return complete == w.size() / c;
   };
   spec.max_steps = [](int n) {
-    const auto nn = static_cast<std::uint64_t>(n);
-    return 64 * nn * nn * nn * nn + 2'000'000;
+    return step_budget(64, n, 4, 2'000'000);
   };
   spec.notes = "Protocol 8; Theorem 12. 5c-3 states; certificate required (leaders visit forever).";
   return spec;

@@ -10,6 +10,7 @@
 #include "protocols/protocols.hpp"
 
 #include "graph/predicates.hpp"
+#include "util/saturating.hpp"
 
 namespace netcons::protocols {
 
@@ -28,8 +29,7 @@ ProtocolSpec cycle_cover() {
   spec.protocol = b.build();
   spec.target = [](const Graph& g) { return is_cycle_cover(g, /*waste=*/2); };
   spec.max_steps = [](int n) {
-    const auto nn = static_cast<std::uint64_t>(n);
-    return 256 * nn * nn + 1'000'000;  // Theta(n^2) with headroom
+    return step_budget(256, n, 2, 1'000'000);  // Theta(n^2) with headroom
   };
   spec.notes = "Protocol 3; Theorem 5: Theta(n^2), optimal, waste 2.";
   return spec;

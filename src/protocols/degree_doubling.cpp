@@ -12,6 +12,8 @@
 // interleavings the node ends with exactly 2^d level-d neighbors.
 #include "protocols/protocols.hpp"
 
+#include "util/saturating.hpp"
+
 #include <stdexcept>
 #include <vector>
 
@@ -64,8 +66,7 @@ ProtocolSpec degree_doubling(int d) {
     return hubs == 1;
   };
   spec.max_steps = [d](int n) {
-    const auto nn = static_cast<std::uint64_t>(n);
-    return 1024 * nn * nn * static_cast<std::uint64_t>(d + 1) + 1'000'000;
+    return step_budget(1024 * static_cast<std::uint64_t>(d + 1), n, 2, 1'000'000);
   };
   spec.notes = "Section 7: 2^d neighbors from Theta(d) states; needs n >= 2^d + 1.";
   return spec;

@@ -17,6 +17,7 @@
 #include "protocols/protocols.hpp"
 
 #include "graph/predicates.hpp"
+#include "util/saturating.hpp"
 
 namespace netcons::protocols {
 
@@ -46,8 +47,7 @@ ProtocolSpec fast_global_line() {
   spec.protocol = b.build();
   spec.target = [](const Graph& g) { return is_spanning_line(g); };
   spec.max_steps = [](int n) {
-    const auto nn = static_cast<std::uint64_t>(n);
-    return 256 * nn * nn * nn + 1'000'000;  // O(n^3) with headroom
+    return step_budget(256, n, 3, 1'000'000);  // O(n^3) with headroom
   };
   spec.notes = "Protocol 2; Theorem 4: O(n^3).";
   return spec;

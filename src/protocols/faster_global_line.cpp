@@ -18,6 +18,7 @@
 #include "protocols/protocols.hpp"
 
 #include "graph/predicates.hpp"
+#include "util/saturating.hpp"
 
 namespace netcons::protocols {
 
@@ -42,8 +43,7 @@ ProtocolSpec faster_global_line() {
   spec.protocol = b.build();
   spec.target = [](const Graph& g) { return is_spanning_line(g); };
   spec.max_steps = [](int n) {
-    const auto nn = static_cast<std::uint64_t>(n);
-    return 512 * nn * nn * nn + 1'000'000;
+    return step_budget(512, n, 3, 1'000'000);
   };
   spec.notes = "Protocol 10; running time open (conjectured faster than O(n^3)).";
   return spec;

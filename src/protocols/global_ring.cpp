@@ -12,6 +12,7 @@
 #include "protocols/protocols.hpp"
 
 #include "graph/predicates.hpp"
+#include "util/saturating.hpp"
 
 #include <array>
 
@@ -68,8 +69,7 @@ ProtocolSpec global_ring() {
   spec.protocol = b.build();
   spec.target = [](const Graph& g) { return is_spanning_ring(g); };
   spec.max_steps = [](int n) {
-    const auto nn = static_cast<std::uint64_t>(n);
-    return 64 * nn * nn * nn * nn * nn + 2'000'000;
+    return step_budget(64, n, 5, 2'000'000);
   };
   spec.notes =
       "Protocol 5 (journal version with the l_bar fix); Theorem 9: constructs a "

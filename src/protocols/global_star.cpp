@@ -10,6 +10,7 @@
 #include "protocols/protocols.hpp"
 
 #include "graph/predicates.hpp"
+#include "util/saturating.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -30,9 +31,8 @@ ProtocolSpec global_star() {
   spec.protocol = b.build();
   spec.target = [](const Graph& g) { return is_spanning_star(g); };
   spec.max_steps = [](int n) {
-    const auto nn = static_cast<std::uint64_t>(n);
     const auto log_n = static_cast<std::uint64_t>(std::max(1.0, std::log(static_cast<double>(n))));
-    return 256 * nn * nn * log_n + 1'000'000;
+    return step_budget(256 * log_n, n, 2, 1'000'000);
   };
   spec.notes = "Protocol 4; Theorem 7: Theta(n^2 log n), optimal size and time.";
   return spec;

@@ -22,6 +22,7 @@
 #include "protocols/protocols.hpp"
 
 #include "graph/predicates.hpp"
+#include "util/saturating.hpp"
 
 #include <stdexcept>
 #include <vector>
@@ -133,8 +134,7 @@ ProtocolSpec krc(int k) {
     return is_connected(w.active_graph());
   };
   spec.max_steps = [](int n) {
-    const auto nn = static_cast<std::uint64_t>(n);
-    return 64 * nn * nn * nn * nn * nn + 2'000'000;
+    return step_budget(64, n, 5, 2'000'000);
   };
   spec.notes = "Protocols 6/7; Theorems 10/11. Certificate required (leader swaps forever).";
   return spec;

@@ -11,6 +11,8 @@
 // them still have an applicable rule), except for at most one leftover node.
 #include "protocols/protocols.hpp"
 
+#include "util/saturating.hpp"
+
 namespace netcons::protocols {
 
 ProtocolSpec partition_udm() {
@@ -59,8 +61,7 @@ ProtocolSpec partition_udm() {
     return true;
   };
   spec.max_steps = [](int n) {
-    const auto nn = static_cast<std::uint64_t>(n);
-    return 256 * nn * nn + 1'000'000;
+    return step_budget(256, n, 2, 1'000'000);
   };
   spec.notes = "Theorem 15 partition substrate; waste <= 2 (n mod 3 leftovers).";
   return spec;

@@ -18,6 +18,7 @@
 
 #include "graph/isomorphism.hpp"
 #include "graph/predicates.hpp"
+#include "util/saturating.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -147,10 +148,9 @@ ProtocolSpec replication(const Graph& g1) {
   };
 
   spec.max_steps = [](int n) {
-    const auto nn = static_cast<std::uint64_t>(n);
     const auto log_n = static_cast<std::uint64_t>(
         std::max<double>(1.0, std::log(static_cast<double>(n))));
-    return 64 * nn * nn * nn * nn * log_n + 2'000'000;  // Theta(n^4 log n) + headroom
+    return step_budget(64 * log_n, n, 4, 2'000'000);  // Theta(n^4 log n) + headroom
   };
   spec.notes = "Protocol 9; Theorem 13: Theta(n^4 log n); randomized (PREL).";
   return spec;

@@ -12,6 +12,7 @@
 #include "protocols/protocols.hpp"
 
 #include "graph/predicates.hpp"
+#include "util/saturating.hpp"
 
 namespace netcons::protocols {
 
@@ -34,8 +35,7 @@ ProtocolSpec simple_global_line() {
   spec.protocol = b.build();
   spec.target = [](const Graph& g) { return is_spanning_line(g); };
   spec.max_steps = [](int n) {
-    const auto nn = static_cast<std::uint64_t>(n);
-    return 64 * nn * nn * nn * nn * nn + 1'000'000;  // O(n^5) with headroom
+    return step_budget(64, n, 5, 1'000'000);  // O(n^5) with headroom
   };
   spec.notes = "Protocol 1; Theorem 3: Omega(n^4), O(n^5).";
   return spec;

@@ -8,6 +8,7 @@
 #include "protocols/protocols.hpp"
 
 #include "graph/predicates.hpp"
+#include "util/saturating.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -27,8 +28,7 @@ ProtocolSpec spanning_net() {
   spec.protocol = b.build();
   spec.target = [](const Graph& g) { return is_spanning_network(g); };
   spec.max_steps = [](int n) {
-    const auto nn = static_cast<std::uint64_t>(n);
-    return 4096 * nn + 1'000'000;  // Theta(n log n) with headroom
+    return step_budget(4096, n, 1, 1'000'000);  // Theta(n log n) with headroom
   };
   spec.notes = "Theorem 1 upper bound: spanning network in Theta(n log n).";
   return spec;
@@ -49,10 +49,9 @@ ProtocolSpec preelected_line() {
   spec.initialize = [l](World& w) { w.set_state(0, l); };
   spec.target = [](const Graph& g) { return is_spanning_line(g); };
   spec.max_steps = [](int n) {
-    const auto nn = static_cast<std::uint64_t>(n);
     const auto log_n =
         static_cast<std::uint64_t>(std::max(1.0, std::log(static_cast<double>(n))));
-    return 256 * nn * nn * log_n + 1'000'000;  // Theta(n^2 log n) + headroom
+    return step_budget(256 * log_n, n, 2, 1'000'000);  // Theta(n^2 log n) + headroom
   };
   spec.notes =
       "Section 7: the meet-everybody-paced line built from a pre-elected leader; "

@@ -1,6 +1,6 @@
 #include "sched/schedulers.hpp"
 
-#include "graph/graph.hpp"
+#include "core/world.hpp"
 
 namespace netcons {
 
@@ -9,7 +9,7 @@ Encounter RandomPermutationScheduler::next(Rng& rng, int n) {
     if (n != n_) {
       n_ = n;
       pairs_.clear();
-      pairs_.reserve(Graph::pair_count(n));
+      pairs_.reserve(World::pair_count(n));
       for (int v = 1; v < n; ++v) {
         for (int u = 0; u < v; ++u) pairs_.push_back({u, v});
       }
@@ -38,7 +38,7 @@ StaleBiasedScheduler::StaleBiasedScheduler(double bias) : bias_(bias) {
 Encounter StaleBiasedScheduler::next(Rng& rng, int n) {
   if (n != n_) {
     n_ = n;
-    last_played_.assign(Graph::pair_count(n), 0);
+    last_played_.assign(World::pair_count(n), 0);
     clock_ = 0;
   }
   ++clock_;
@@ -52,13 +52,13 @@ Encounter StaleBiasedScheduler::next(Rng& rng, int n) {
     }
     // Invert the triangular index.
     int v = 1;
-    while (Graph::pair_count(v + 1) <= best) ++v;
-    const int u = static_cast<int>(best - Graph::pair_count(v));
+    while (World::pair_count(v + 1) <= best) ++v;
+    const int u = static_cast<int>(best - World::pair_count(v));
     e = {u, v};
   } else {
     e = uniform_.next(rng, n);
   }
-  last_played_[Graph::pair_index(e.first, e.second)] = clock_;
+  last_played_[World::pair_index(e.first, e.second)] = clock_;
   return e;
 }
 

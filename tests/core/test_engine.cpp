@@ -6,7 +6,6 @@
 
 #include "analysis/distribution.hpp"
 #include "campaign/registry.hpp"
-#include "graph/graph.hpp"
 #include "sched/schedulers.hpp"
 
 #include <gtest/gtest.h>
@@ -218,11 +217,11 @@ namespace {
 class RotatingScheduler final : public Scheduler {
  public:
   [[nodiscard]] Encounter next(Rng&, int n) override {
-    const std::uint64_t pairs = Graph::pair_count(n);
+    const std::uint64_t pairs = World::pair_count(n);
     const std::uint64_t i = cursor_++ % pairs;
     int v = 1;
-    while (Graph::pair_count(v + 1) <= i) ++v;
-    return {static_cast<int>(i - Graph::pair_count(v)), v};
+    while (World::pair_count(v + 1) <= i) ++v;
+    return {static_cast<int>(i - World::pair_count(v)), v};
   }
   void reset() override { cursor_ = 0; }
 

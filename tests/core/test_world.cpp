@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace netcons {
 namespace {
 
@@ -12,6 +15,26 @@ Protocol two_state() {
   b.set_initial(a);
   b.add_rule(a, a, false, c, c, true);
   return b.build();
+}
+
+TEST(World, PairIndexIsTriangularAndSymmetric) {
+  EXPECT_EQ(World::pair_index(0, 1), 0u);
+  EXPECT_EQ(World::pair_index(1, 0), 0u);
+  EXPECT_EQ(World::pair_index(0, 2), 1u);
+  EXPECT_EQ(World::pair_index(1, 2), 2u);
+  EXPECT_EQ(World::pair_index(0, 3), 3u);
+  // Bijective over all pairs of a small n.
+  const int n = 12;
+  std::vector<bool> seen(World::pair_count(n), false);
+  for (int v = 1; v < n; ++v) {
+    for (int u = 0; u < v; ++u) {
+      const auto i = World::pair_index(u, v);
+      ASSERT_LT(i, seen.size());
+      EXPECT_FALSE(seen[i]);
+      seen[i] = true;
+    }
+  }
+  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; }));
 }
 
 TEST(World, InitialConfiguration) {

@@ -150,5 +150,35 @@ TEST(Predicates, SpanningNetworkAndMaxDegree) {
   EXPECT_FALSE(has_max_degree(Graph::star(5), 2));
 }
 
+// Target checks walk adjacency in O(n + m): at n = 2^20 these finish in well
+// under a second, where an O(n^2) pair scan would blow the ctest timeout.
+TEST(Predicates, TargetChecksScaleToMillionNodes) {
+  constexpr int kN = 1 << 20;
+  const Graph ring = Graph::ring(kN);
+  EXPECT_TRUE(is_connected(ring));
+  EXPECT_TRUE(is_spanning_ring(ring));
+  EXPECT_TRUE(is_cycle_cover(ring, 0));
+  EXPECT_FALSE(is_spanning_line(ring));
+
+  const Graph line = Graph::line(kN);
+  EXPECT_TRUE(is_connected(line));
+  EXPECT_TRUE(is_spanning_line(line));
+  EXPECT_FALSE(is_spanning_ring(line));
+  EXPECT_FALSE(is_cycle_cover(line, 2));
+
+  // Triangles over the first 3 * (kN / 3) nodes, then one waste pair.
+  constexpr int kTriangles = kN / 3;
+  Graph cover(3 * kTriangles + 2);
+  for (int t = 0; t < kTriangles; ++t) {
+    cover.add_edge(3 * t, 3 * t + 1);
+    cover.add_edge(3 * t + 1, 3 * t + 2);
+    cover.add_edge(3 * t + 2, 3 * t);
+  }
+  cover.add_edge(3 * kTriangles, 3 * kTriangles + 1);
+  EXPECT_TRUE(is_cycle_cover(cover, 2));
+  EXPECT_FALSE(is_cycle_cover(cover, 1));
+  EXPECT_FALSE(is_connected(cover));
+}
+
 }  // namespace
 }  // namespace netcons

@@ -1,6 +1,6 @@
 #include "sched/schedulers.hpp"
 
-#include "graph/graph.hpp"
+#include "core/world.hpp"
 
 #include <gtest/gtest.h>
 
@@ -38,13 +38,13 @@ TEST(RandomPermutationScheduler, EachRoundCoversAllPairs) {
   RandomPermutationScheduler s;
   Rng rng(7);
   const int n = 6;
-  const auto pairs = Graph::pair_count(n);
+  const auto pairs = World::pair_count(n);
   for (int round = 0; round < 3; ++round) {
     std::set<std::size_t> seen;
     for (std::size_t i = 0; i < pairs; ++i) {
       const Encounter e = s.next(rng, n);
       EXPECT_NE(e.first, e.second);
-      seen.insert(Graph::pair_index(e.first, e.second));
+      seen.insert(World::pair_index(e.first, e.second));
     }
     EXPECT_EQ(seen.size(), pairs) << "round " << round;
   }
@@ -77,9 +77,9 @@ TEST(StaleBiasedScheduler, EventuallyCoversAllPairs) {
   std::set<std::size_t> seen;
   for (int i = 0; i < 200; ++i) {
     const Encounter e = s.next(rng, n);
-    seen.insert(Graph::pair_index(e.first, e.second));
+    seen.insert(World::pair_index(e.first, e.second));
   }
-  EXPECT_EQ(seen.size(), Graph::pair_count(n));
+  EXPECT_EQ(seen.size(), World::pair_count(n));
 }
 
 TEST(StaleBiasedScheduler, RejectsBadBias) {
@@ -91,11 +91,11 @@ TEST(UniformRandomScheduler, MarginalsAreUniform) {
   UniformRandomScheduler s;
   Rng rng(17);
   const int n = 5;
-  std::vector<int> count(Graph::pair_count(n), 0);
+  std::vector<int> count(World::pair_count(n), 0);
   const int samples = 100000;
   for (int i = 0; i < samples; ++i) {
     const Encounter e = s.next(rng, n);
-    ++count[Graph::pair_index(e.first, e.second)];
+    ++count[World::pair_index(e.first, e.second)];
   }
   const double expected = static_cast<double>(samples) / static_cast<double>(count.size());
   for (int c : count) {

@@ -14,7 +14,8 @@ guarantees docs/serving-api.md makes and CI relies on:
     `netcons_report --json` (the determinism contract);
   * re-POSTing the identical spec answers 200 with "cached": true —
     no trials run again;
-  * malformed documents get a 400 netcons-serve-v1 error envelope,
+  * malformed documents -- including a 2 MB run of nested "[" -- get a
+    400 netcons-serve-v1 error envelope,
     unknown ids and endpoints a 404, artifact requests on unfinished
     jobs a 409, and GET /v1/metrics snapshots the serve.* counters.
 
@@ -42,10 +43,13 @@ SPEC_ARGS = ["--protocols", "cycle-cover", "--ns", "16,24",
 
 
 def request(port, method, target, body=None):
-    """One request; returns (status, headers, body bytes)."""
+    """One request; returns (status, headers, body bytes). A bytes body is
+    sent verbatim, anything else as JSON."""
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
     try:
-        payload = json.dumps(body).encode() if body is not None else None
+        payload = body
+        if body is not None and not isinstance(body, bytes):
+            payload = json.dumps(body).encode()
         connection.request(method, target, body=payload)
         response = connection.getresponse()
         return response.status, dict(response.getheaders()), response.read()
@@ -159,6 +163,16 @@ class ServeApiTest(unittest.TestCase):
         self.assertEqual(status, 400, raw)
         self.assertIn("no-such-protocol",
                       json.loads(raw)["error"]["message"])
+
+    def test_deeply_nested_body_is_a_400_and_the_daemon_survives(self):
+        status, _, raw = request(self.port, "POST", "/v1/campaigns",
+                                 b"[" * (2 << 20))
+        self.assertEqual(status, 400, raw[:200])
+        envelope = json.loads(raw)
+        self.assertEqual(envelope["schema"], "netcons-serve-v1")
+        self.assertIn("nesting too deep", envelope["error"]["message"])
+        status, _, body = request(self.port, "GET", "/v1/metrics")
+        self.assertEqual(status, 200, body)
 
     def test_metrics_snapshot_counts_requests(self):
         request(self.port, "GET", "/v1/metrics")
