@@ -73,10 +73,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  TextTable table({"threads", "jobs", "wall s", "mean(n=64)"});
+  TextTable table({"threads", "wall s", "mean(n=64)"});
   for (const auto* r : {&serial_result, &parallel_result}) {
     table.add_row({TextTable::integer(static_cast<std::uint64_t>(r->threads)),
-                   TextTable::integer(static_cast<std::uint64_t>(r->jobs)),
                    TextTable::num(r->wall_seconds),
                    TextTable::num(r->points.back().convergence_steps.mean())});
   }

@@ -4,9 +4,9 @@
 //
 // The workload is a realistic campaign slice -- Cycle-Cover under the
 // census engine, many small trials -- because that is where the
-// instrumentation sits: per-job spans, sampled per-trial spans, per-trial
-// engine metric publication, and the heartbeat's record_job on every
-// chunk.
+// instrumentation sits: sampled per-trial spans, per-trial engine metric
+// publication, and the heartbeat's record_job after every trial (the
+// campaign runs one trial per pool job).
 //
 // Measuring a 2% budget on a shared runner needs care, so the gate uses
 // an interleaved sum-of-CPU-time ratio:

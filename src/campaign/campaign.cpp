@@ -79,17 +79,10 @@ std::vector<Point> expand_points(const CampaignSpec& spec) {
   return points;
 }
 
-/// One pool job: a run of consecutive entries of the (point, trial) task
-/// list this invocation will execute (after shard filtering and resume
-/// skips, trials of a point need not be contiguous).
+/// One pool job: a (point, trial) slot this invocation will execute.
 struct Task {
   std::size_t point = 0;
   int trial = 0;
-};
-
-struct Chunk {
-  std::size_t task_begin = 0;
-  std::size_t task_end = 0;
 };
 
 TrialOutcome run_unit_trial(const Unit& unit, int n, std::uint64_t seed,
@@ -332,7 +325,12 @@ CampaignResult run(const CampaignSpec& spec, const RunOptions& options) {
     }
   }
 
-  // The task list: every unfilled slot of this run's shard, in grid order.
+  // The task list: every unfilled slot of this run's shard, largest n
+  // first. A trial's cost grows polynomially in n, so the biggest trials
+  // start while the rest of the list keeps every worker busy behind them;
+  // in grid order they would start last and run out the clock alone. The
+  // stable sort keeps grid order among equal n, so the order (and with it
+  // which trials a trial cap executes) is deterministic.
   std::vector<Task> tasks;
   for (std::size_t p = 0; p < points.size(); ++p) {
     for (int t = 0; t < trials; ++t) {
@@ -342,66 +340,42 @@ CampaignResult run(const CampaignSpec& spec, const RunOptions& options) {
       tasks.push_back(Task{p, t});
     }
   }
-
-  // Chunk tasks into jobs. The default targets ~8 jobs per worker so the
-  // pool stays balanced even when per-trial cost varies wildly across the
-  // grid, while keeping per-job overhead negligible.
-  int shard_size = options.shard_size;
-  if (shard_size <= 0) {
-    shard_size = static_cast<int>(std::clamp<std::uint64_t>(
-        tasks.size() / (static_cast<std::uint64_t>(threads) * 8), 1, 64));
-  }
-  std::vector<Chunk> chunks;
-  for (std::size_t begin = 0; begin < tasks.size();
-       begin += static_cast<std::size_t>(shard_size)) {
-    chunks.push_back(
-        Chunk{begin, std::min(begin + static_cast<std::size_t>(shard_size), tasks.size())});
+  std::stable_sort(tasks.begin(), tasks.end(), [&points](const Task& a, const Task& b) {
+    return points[a.point].n > points[b.point].n;
+  });
+  // The trial cap executes a prefix of the task list and leaves the rest
+  // unexecuted (and unrecorded), exactly as if the process had been
+  // killed -- but with records flushed, so a --resume run completes it.
+  if (options.trial_cap > 0 && options.trial_cap < tasks.size()) {
+    tasks.resize(static_cast<std::size_t>(options.trial_cap));
   }
 
   std::atomic<std::uint64_t> completed{0};
-  std::atomic<std::uint64_t> started{0};
 
   if (options.monitor) {
     options.monitor->begin(static_cast<std::uint64_t>(tasks.size()), threads);
   }
 
-  run_jobs(chunks.size(), threads, [&](std::size_t job) {
-    NETCONS_TM_SPAN(job_span, "job", "campaign");
+  // One trial per job: the atomic cursor hands the next-largest trial to
+  // whichever worker frees up first.
+  run_jobs(tasks.size(), threads, [&](std::size_t job) {
     const auto job_start = std::chrono::steady_clock::now();
-    const Chunk& chunk = chunks[job];
-    std::uint64_t executed_here = 0;
-    for (std::size_t i = chunk.task_begin; i < chunk.task_end; ++i) {
-      // The trial cap hands out execution tickets: once `trial_cap` trials
-      // have started, the rest of the task list is left unexecuted (and
-      // unrecorded), exactly as if the process had been killed — but with
-      // records flushed, so a --resume run completes the remainder.
-      if (options.trial_cap > 0 &&
-          started.fetch_add(1, std::memory_order_relaxed) >= options.trial_cap) {
-        break;
-      }
-      const Task& task = tasks[i];
-      const Point& point = points[task.point];
-      const std::uint64_t seed =
-          SeedStream(point.seed).at(static_cast<std::uint64_t>(task.trial));
-      NETCONS_TM_SAMPLED_SPAN(trial_span, "trial", "campaign");
-      TrialOutcome outcome = run_unit_trial(*point.unit, point.n, seed,
-                                            point.scheduler->make, *point.fault_plan,
-                                            point.engine->make);
-      outcomes[task.point][static_cast<std::size_t>(task.trial)] = outcome;
-      filled[slot_of(task.point, task.trial)] = 1;
-      if (options.on_trial) options.on_trial(task.point, task.trial, seed, outcome);
-      ++executed_here;
-    }
-    if (options.monitor && executed_here > 0) {
+    const Task& task = tasks[job];
+    const Point& point = points[task.point];
+    const std::uint64_t seed = SeedStream(point.seed).at(static_cast<std::uint64_t>(task.trial));
+    NETCONS_TM_SAMPLED_SPAN(trial_span, "trial", "campaign");
+    TrialOutcome outcome = run_unit_trial(*point.unit, point.n, seed, point.scheduler->make,
+                                          *point.fault_plan, point.engine->make);
+    outcomes[task.point][static_cast<std::size_t>(task.trial)] = outcome;
+    filled[slot_of(task.point, task.trial)] = 1;
+    if (options.on_trial) options.on_trial(task.point, task.trial, seed, outcome);
+    if (options.monitor) {
       options.monitor->record_job(
-          executed_here,
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - job_start)
-              .count());
+          1, std::chrono::duration<double>(std::chrono::steady_clock::now() - job_start).count());
     }
-    if (options.progress && executed_here > 0) {
-      const auto done = completed.fetch_add(executed_here, std::memory_order_relaxed) +
-                        executed_here;
-      options.progress(done, static_cast<std::uint64_t>(tasks.size()));
+    if (options.progress) {
+      options.progress(completed.fetch_add(1, std::memory_order_relaxed) + 1,
+                       static_cast<std::uint64_t>(tasks.size()));
     }
   });
 
@@ -416,7 +390,7 @@ CampaignResult run(const CampaignSpec& spec, const RunOptions& options) {
 
   if (result.complete) {
     // Sequential reduction in (point, trial) order: this is what makes the
-    // aggregates independent of thread count, chunking, sharding, and
+    // aggregates independent of thread count, dispatch order, sharding, and
     // resume history.
     CampaignResult reduced = reduce_outcomes(expand_grid(spec), trials, outcomes);
     result.points = std::move(reduced.points);
@@ -432,7 +406,6 @@ CampaignResult run(const CampaignSpec& spec, const RunOptions& options) {
       }
     }
   }
-  result.jobs = chunks.size();
   result.threads = threads;
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

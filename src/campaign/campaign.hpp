@@ -1,13 +1,13 @@
 // The Monte-Carlo campaign engine: executes an arbitrary grid of
 // (protocol | process) x n x scheduler, `trials` independent trials per
-// point, as sharded jobs on a thread pool.
+// point, one trial per job on a thread pool, largest n first.
 //
 // Determinism contract: the seed of trial t of grid point p is a pure
 // function of (spec.base_seed, p, t) — see seeds.hpp — and every trial
 // writes its outcome into a pre-assigned slot, with aggregation performed
 // sequentially in (point, trial) order after the pool drains. Aggregate
-// statistics are therefore bit-identical regardless of thread count, shard
-// size, or the order in which the OS schedules the workers.
+// statistics are therefore bit-identical regardless of thread count,
+// dispatch order, or the order in which the OS schedules the workers.
 //
 // The grid is expanded unit-major, then scheduler, then fault plan, then
 // execution engine, then n:
@@ -190,15 +190,15 @@ using OutcomeMap = std::map<std::pair<std::size_t, int>, TrialOutcome>;
 }
 
 struct RunOptions {
-  int threads = 0;     ///< 0: hardware concurrency (min 1).
-  int shard_size = 0;  ///< Trials per job; 0: derived from trials/threads.
+  int threads = 0;  ///< 0: hardware concurrency (min 1).
   /// Grid slice to execute: shard `shard_index` of `shard_count` (see
   /// in_shard). The default 0/1 runs the whole grid.
   int shard_index = 0;
   int shard_count = 1;
-  /// Stop scheduling new trials once this many have been executed this run
-  /// (0: unlimited). The run then reports complete == false; used to test
-  /// and exercise crash/resume paths deterministically.
+  /// Execute at most this many trials this run (0: unlimited): the first
+  /// `trial_cap` of the largest-n-first dispatch order, so the same trials
+  /// for any thread count. The run then reports complete == false; used to
+  /// test and exercise crash/resume paths deterministically.
   std::uint64_t trial_cap = 0;
   /// Outcomes already known from a previous run's trial records; those
   /// slots are filled without re-executing. Keys outside the grid are
@@ -211,7 +211,7 @@ struct RunOptions {
   /// trial range, selecting exactly those slots.
   std::function<bool(std::size_t point, int trial)> select;
   /// Optional progress callback, invoked from worker threads after each
-  /// completed job with (executed_trials, trials_scheduled_this_run) —
+  /// executed trial with (executed_trials, trials_scheduled_this_run) —
   /// resumed and out-of-shard trials are not scheduled, so the total
   /// reflects this invocation's actual work. Must be thread-safe.
   std::function<void(std::uint64_t, std::uint64_t)> progress;
@@ -224,7 +224,8 @@ struct RunOptions {
       on_trial;
   /// Optional progress/heartbeat monitor (telemetry/heartbeat.hpp): run()
   /// calls begin() with this invocation's scheduled trial count and worker
-  /// count, record_job() from every worker, and end() when the pool drains.
+  /// count, record_job() after every executed trial, and end() when the
+  /// pool drains.
   /// Not owned; must outlive run(). Purely observational -- attaching a
   /// monitor never changes outcomes or summary bytes.
   telemetry::CampaignMonitor* monitor = nullptr;
@@ -240,7 +241,6 @@ struct CampaignResult {
   std::uint64_t executed_trials = 0;  ///< Trials actually run this invocation.
   std::uint64_t resumed_trials = 0;   ///< Slots filled from RunOptions::resume.
   std::uint64_t total_failures = 0;   ///< Over all filled slots.
-  std::size_t jobs = 0;
   int threads = 0;
   double wall_seconds = 0.0;  ///< Execution time (not part of determinism).
 };

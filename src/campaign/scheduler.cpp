@@ -82,6 +82,9 @@ struct Scheduler::Job {
   int fabric_port = -1;
   std::string error;
   std::vector<Observer> observers;
+  /// Completions whose observers are still firing: wait() holds back until
+  /// this drops to zero, so a waiter never overtakes the observers.
+  int observers_firing = 0;
 };
 
 Scheduler::Scheduler(Options options) : options_(std::move(options)) {
@@ -269,7 +272,8 @@ JobStatus Scheduler::wait(const std::string& id) {
   }
   const std::shared_ptr<Job> job = it->second;
   done_cv_.wait(lock, [&] {
-    return job->state == JobState::kDone || job->state == JobState::kFailed;
+    return (job->state == JobState::kDone || job->state == JobState::kFailed) &&
+           job->observers_firing == 0;
   });
   return status_locked(*job);
 }
@@ -297,29 +301,37 @@ void Scheduler::worker_main() {
 }
 
 void Scheduler::execute(Job& job) {
+  std::string error;
+  bool failed = false;
   try {
     run_job(job);
-    std::lock_guard lock(mutex_);
-    job.state = JobState::kDone;
-  } catch (const std::exception& error) {
-    std::lock_guard lock(mutex_);
-    job.state = JobState::kFailed;
-    job.error = error.what();
+  } catch (const std::exception& e) {
+    failed = true;
+    error = e.what();
   }
+  // Publishing the final state and claiming the observers is one step, so
+  // a submit() that lands in between can neither coalesce onto a finished
+  // job nor have its observer fired with the previous run's status.
   std::vector<Observer> observers;
   JobStatus final_status;
   {
     std::lock_guard lock(mutex_);
+    job.state = failed ? JobState::kFailed : JobState::kDone;
+    job.error = std::move(error);
     observers = std::move(job.observers);
     job.observers.clear();
     final_status = status_locked(job);
+    ++job.observers_firing;
   }
-  count(final_status.state == JobState::kDone ? "scheduler.jobs_completed"
-                                              : "scheduler.jobs_failed");
-  done_cv_.notify_all();
+  count(failed ? "scheduler.jobs_failed" : "scheduler.jobs_completed");
   for (const Observer& fire : observers) {
     if (fire) fire(final_status);
   }
+  {
+    std::lock_guard lock(mutex_);
+    --job.observers_firing;
+  }
+  done_cv_.notify_all();
 }
 
 void Scheduler::run_job(Job& job) {

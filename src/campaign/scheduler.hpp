@@ -155,8 +155,9 @@ class Scheduler {
   /// std::nullopt for an unknown id.
   [[nodiscard]] std::optional<JobStatus> poll(const std::string& id) const;
 
-  /// Block until the job reaches kDone/kFailed and return its final
-  /// status. Throws std::runtime_error for an unknown id.
+  /// Block until the job reaches kDone/kFailed and its observers have
+  /// fired, and return its final status. Throws std::runtime_error for an
+  /// unknown id.
   JobStatus wait(const std::string& id);
 
   /// Absolute path of a completed entry's artifact ("summary.json",

@@ -1,7 +1,7 @@
 // Deterministic seed derivation for campaign grids.
 //
 // The engine's determinism contract — bit-identical aggregates regardless of
-// thread count, shard size, or execution order — requires that the seed of
+// thread count, dispatch order, or OS scheduling — requires that the seed of
 // every trial be a pure function of (campaign seed, point index, trial
 // index). Both levels are random-access SplitMix64 streams: element i of the
 // stream with state `base` is finalize(base + (i+1) * gamma), i.e. exactly

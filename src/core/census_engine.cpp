@@ -524,12 +524,10 @@ CensusEngine::BucketEdge CensusEngine::sample_pair(const EffectiveClass& cls,
   return {as.front(), cls.a == cls.b ? as[1] : bs.front()};
 }
 
-void CensusEngine::execute_and_update(int u, int v, std::uint32_t slot_hint) {
+void CensusEngine::execute_and_update(int u, int v, std::uint32_t slot) {
   const World& w = world();
   const StateId sa = w.state(u);
   const StateId sb = w.state(v);
-  // The slot scan doubles as the edge-existence probe; no World query.
-  const std::uint32_t slot = slot_hint != kNoSlot ? slot_hint : find_edge_slot(u, v);
   const bool had_edge = slot != kNoSlot;
 
   // Leave the journal recording: the log is clean here (census_step syncs
@@ -733,10 +731,9 @@ CensusEngine::StepOutcome CensusEngine::weighted_census_step(std::uint64_t budge
     if (!w.alive(e.first) || !w.alive(e.second)) continue;
     const StateId a = w.state(e.first);
     const StateId b = w.state(e.second);
-    if (protocol().ineffective(std::min(a, b), std::max(a, b), w.edge(e.first, e.second))) {
-      continue;
-    }
-    execute_and_update(e.first, e.second, kNoSlot);
+    const bool edge = w.edge(e.first, e.second);
+    if (protocol().ineffective(std::min(a, b), std::max(a, b), edge)) continue;
+    execute_and_update(e.first, e.second, edge ? find_edge_slot(e.first, e.second) : kNoSlot);
     ++stats_.effective_samples;
     ++stats_.weighted_samples;
     return StepOutcome::kExecuted;

@@ -232,7 +232,9 @@ class CensusEngine final : public Simulator {
   struct BucketEdge {
     int u = 0;
     int v = 0;
-    std::uint32_t slot = 0xffffffffu;  ///< kNoSlot unless drawn from a bucket.
+    /// The pair's edge slot; kNoSlot for a non-edge (an edge-free class
+    /// draw has already proved the pair has no edge).
+    std::uint32_t slot = 0xffffffffu;
   };
 
   enum class StepOutcome : std::uint8_t {
@@ -290,9 +292,9 @@ class CensusEngine final : public Simulator {
   /// and fresh weights.
   StepOutcome weighted_census_step(std::uint64_t budget);
   /// Apply the encounter and incrementally repair tables and weights.
-  /// `slot_hint` is the pair's edge slot when the caller already knows it
-  /// (a bucket draw), kNoSlot to look it up here.
-  void execute_and_update(int u, int v, std::uint32_t slot_hint);
+  /// `slot` is the pair's edge slot, kNoSlot when the pair has no edge;
+  /// every caller already knows which, so no adjacency scan happens here.
+  void execute_and_update(int u, int v, std::uint32_t slot);
   [[nodiscard]] std::uint32_t leap_batch_size(std::uint64_t weight) const noexcept;
   void end_leap_batch() noexcept { leap_remaining_ = 0; }
 

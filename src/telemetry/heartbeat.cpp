@@ -68,7 +68,8 @@ void CampaignMonitor::begin(std::uint64_t trials_total, int workers) {
   if (options_.registry != nullptr) {
     // Register the campaign metrics up front so a snapshot taken at any
     // point carries the full key set.
-    options_.registry->counter("campaign.trials_done").add(0);
+    trials_done_counter_ = &options_.registry->counter("campaign.trials_done");
+    trials_done_counter_->add(0);
     options_.registry->counter("campaign.heartbeats").add(0);
     options_.registry->set("campaign.trials_total", static_cast<double>(trials_total_));
     options_.registry->set("campaign.workers", static_cast<double>(workers_));
@@ -105,9 +106,7 @@ void CampaignMonitor::record_job(std::uint64_t trials, double busy_seconds) {
   const std::size_t slot = worker_slot();
   busy_ns_[slot]->fetch_add(static_cast<std::uint64_t>(busy_seconds * 1e9),
                             std::memory_order_relaxed);
-  if (options_.registry != nullptr) {
-    options_.registry->counter("campaign.trials_done").add(trials);
-  }
+  if (trials_done_counter_ != nullptr) trials_done_counter_->add(trials);
 }
 
 void CampaignMonitor::ticker_main() {

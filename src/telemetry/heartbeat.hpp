@@ -91,7 +91,8 @@ class CampaignMonitor {
   void begin(std::uint64_t trials_total, int workers);
 
   /// One finished pool job on the calling worker thread: `trials` trials
-  /// executed over `busy_seconds` of work. Thread-safe, wait-free.
+  /// executed over `busy_seconds` of work. Thread-safe, wait-free: it takes
+  /// no lock, so it is cheap enough to call once per trial.
   void record_job(std::uint64_t trials, double busy_seconds);
 
   /// End of the run: stops the ticker and emits the final heartbeat
@@ -122,6 +123,9 @@ class CampaignMonitor {
   std::atomic<std::uint64_t> trials_done_{0};
   std::atomic<std::size_t> next_slot_{0};
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> busy_ns_;
+  /// campaign.trials_done, resolved once in begin() (null without a
+  /// registry): a registry lookup takes its mutex.
+  Counter* trials_done_counter_ = nullptr;
 
   std::uint64_t seq_ = 0;       ///< Guarded by emit_mutex_.
   std::mutex emit_mutex_;       ///< Serializes heartbeat emission.

@@ -72,7 +72,7 @@ void set_tracer(Tracer* tracer) noexcept;
 
 #else
 
-/// Unconditionally-recorded scoped span (e.g. one per pool job).
+/// Unconditionally-recorded scoped span (e.g. one per CLI run).
 #define NETCONS_TM_SPAN(var, name, cat) \
   ::netcons::telemetry::Span var(::netcons::telemetry::tracer(), (name), (cat))
 

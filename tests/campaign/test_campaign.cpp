@@ -4,12 +4,18 @@
 #include "campaign/registry.hpp"
 #include "campaign/result_sink.hpp"
 #include "campaign/seeds.hpp"
+#include "campaign/trial_record.hpp"
 #include "protocols/protocols.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace netcons::campaign {
@@ -31,33 +37,102 @@ std::vector<PointSummary> summaries(const CampaignResult& result) {
   return out;
 }
 
+/// Run `spec` and collect the record line of every executed trial, sorted:
+/// the record set without the (thread-dependent) order it was written in.
+CampaignResult run_collecting(const CampaignSpec& spec, RunOptions options,
+                              std::vector<std::string>& records) {
+  std::mutex mutex;
+  options.on_trial = [&](std::size_t point, int trial, std::uint64_t seed,
+                         const TrialOutcome& outcome) {
+    const std::string line = record_line(TrialRecord{point, trial, seed, outcome});
+    const std::lock_guard<std::mutex> lock(mutex);
+    records.push_back(line);
+  };
+  CampaignResult result = run(spec, options);
+  std::sort(records.begin(), records.end());
+  return result;
+}
+
 TEST(Campaign, ThreadCountDoesNotChangeAggregates) {
   const CampaignSpec spec = small_mixed_campaign();
   RunOptions one_thread;
   one_thread.threads = 1;
-  RunOptions eight_threads;
-  eight_threads.threads = 8;
-
-  const CampaignResult serial = run(spec, one_thread);
-  const CampaignResult parallel = run(spec, eight_threads);
+  std::vector<std::string> serial_records;
+  const CampaignResult serial = run_collecting(spec, one_thread, serial_records);
 
   ASSERT_EQ(serial.points.size(), 4u);  // 2 units x 2 ns
   EXPECT_EQ(serial.threads, 1);
-  EXPECT_EQ(parallel.threads, 8);
-  // Bit-identical aggregates: PointSummary compares doubles with ==.
-  EXPECT_EQ(summaries(serial), summaries(parallel));
+  ASSERT_EQ(serial_records.size(), 40u);
+  for (const int threads : {3, 8}) {
+    RunOptions options;
+    options.threads = threads;
+    std::vector<std::string> records;
+    const CampaignResult parallel = run_collecting(spec, options, records);
+    EXPECT_EQ(parallel.threads, threads);
+    // Bit-identical aggregates: PointSummary compares doubles with ==.
+    EXPECT_EQ(summaries(serial), summaries(parallel));
+    EXPECT_EQ(to_json(serial), to_json(parallel));
+    EXPECT_EQ(records, serial_records);
+  }
 }
 
-TEST(Campaign, ShardSizeDoesNotChangeAggregates) {
-  const CampaignSpec spec = small_mixed_campaign();
-  RunOptions tiny_shards;
-  tiny_shards.threads = 3;
-  tiny_shards.shard_size = 1;
-  RunOptions one_big_shard;
-  one_big_shard.threads = 2;
-  one_big_shard.shard_size = 1000;
+TEST(Campaign, TrialCapExecutesTheLargestTrialsFirst) {
+  CampaignSpec spec = small_mixed_campaign();
+  spec.ns = {12, 8, 16};  // grid order is not n order
+  // Points: cycle-cover n = 12, 8, 16 (0-2), one-way-epidemic n = 12, 8, 16
+  // (3-5). A cap of 25 takes all 20 trials at n = 16, then the first 5
+  // n = 12 trials in grid order: those of point 0.
+  std::set<std::pair<std::size_t, int>> expected;
+  for (int t = 0; t < 10; ++t) {
+    expected.insert({2, t});
+    expected.insert({5, t});
+  }
+  for (int t = 0; t < 5; ++t) expected.insert({0, t});
 
-  EXPECT_EQ(summaries(run(spec, tiny_shards)), summaries(run(spec, one_big_shard)));
+  for (const int threads : {1, 3, 8}) {
+    RunOptions options;
+    options.threads = threads;
+    options.trial_cap = 25;
+    std::mutex mutex;
+    std::set<std::pair<std::size_t, int>> executed;
+    options.on_trial = [&](std::size_t point, int trial, std::uint64_t, const TrialOutcome&) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      executed.insert({point, trial});
+    };
+    const CampaignResult capped = run(spec, options);
+    EXPECT_FALSE(capped.complete);
+    EXPECT_EQ(capped.executed_trials, 25u);
+    EXPECT_EQ(executed, expected) << "threads = " << threads;
+  }
+}
+
+TEST(Campaign, CappedRunFinishedWithResumeMatchesTheUncappedSummary) {
+  const CampaignSpec spec = small_mixed_campaign();
+  const CampaignResult uncapped = run(spec);
+
+  RunOptions capped_options;
+  capped_options.threads = 3;
+  capped_options.trial_cap = 13;
+  std::mutex mutex;
+  OutcomeMap recorded;
+  capped_options.on_trial = [&](std::size_t point, int trial, std::uint64_t,
+                                const TrialOutcome& outcome) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    recorded[{point, trial}] = outcome;
+  };
+  const CampaignResult capped = run(spec, capped_options);
+  ASSERT_FALSE(capped.complete);
+  ASSERT_EQ(recorded.size(), 13u);
+
+  RunOptions resume_options;
+  resume_options.threads = 3;
+  resume_options.resume = &recorded;
+  const CampaignResult resumed = run(spec, resume_options);
+  EXPECT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.resumed_trials, 13u);
+  EXPECT_EQ(resumed.executed_trials, uncapped.total_trials - 13u);
+  EXPECT_EQ(to_json(resumed), to_json(uncapped));
+  EXPECT_EQ(to_csv(resumed), to_csv(uncapped));
 }
 
 TEST(Campaign, EmptyGridsProduceNoPoints) {

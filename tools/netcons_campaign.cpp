@@ -17,9 +17,9 @@
 //   netcons_campaign --list
 //
 // Every (unit, scheduler, faults, engine, n) grid point runs `--trials` independent trials
-// as sharded jobs on a thread pool. Per-trial seeds are pure functions of
-// (--seed, grid position), so the aggregates are bit-identical for any
-// --threads value. Results print as a table and optionally export to
+// on a thread pool, one trial per job, largest n first so the costliest
+// trials never run last. Per-trial seeds are pure functions of (--seed, grid
+// position), so the aggregates are bit-identical for any --threads value. Results print as a table and optionally export to
 // JSON/CSV via the campaign result sink.
 //
 // --records DIR streams one JSONL record per completed trial into DIR
@@ -403,7 +403,7 @@ int main(int argc, char** argv) {
       }
     }
     std::cout << result.total_trials << " trials over " << result.points.size()
-              << " grid points in " << result.jobs << " jobs on " << result.threads
+              << " grid points on " << result.threads
               << " threads: " << result.wall_seconds << " s, " << result.total_failures
               << " failures\n";
   }
