@@ -14,7 +14,7 @@
 // --min-speedup 0 disables the gate.
 //
 // --scaling -- the web-scale curve: ns per effective interaction for the
-// census and census-leap engines on Simple-Global-Line over
+// census engine on Simple-Global-Line over
 // n in {2^8 .. 2^16}, each point a run bounded to --scaling-eff effective
 // interactions (the whole curve costs seconds; the top points cross
 // World::kDenseNodeLimit, so the sparse edge storage is on the measured
@@ -74,10 +74,8 @@ struct CurvePoint {
 /// effective interactions (or quiescence, whichever first -- small
 /// populations stabilize inside the budget), and price each one.
 CurvePoint measure_once(const ProtocolSpec& spec, int n, std::uint64_t eff_budget,
-                        std::uint64_t seed, bool leap_enabled) {
-  CensusLeapOptions leap;
-  leap.enabled = leap_enabled;
-  CensusEngine engine(spec.protocol, n, seed, nullptr, leap);
+                        std::uint64_t seed) {
+  CensusEngine engine(spec.protocol, n, seed);
   const auto budget_reached = [&engine, eff_budget](const World&) {
     return engine.effective_steps() >= eff_budget;
   };
@@ -96,11 +94,11 @@ CurvePoint measure_once(const ProtocolSpec& spec, int n, std::uint64_t eff_budge
 /// estimator of intrinsic cost on a shared machine -- scheduler
 /// preemptions and cache pollution only ever push a timing up.
 CurvePoint measure_point(const ProtocolSpec& spec, int n, std::uint64_t eff_budget,
-                         std::uint64_t seed, bool leap_enabled, int repeats = 3) {
-  CurvePoint best = measure_once(spec, n, eff_budget, seed, leap_enabled);
+                         std::uint64_t seed, int repeats = 3) {
+  CurvePoint best = measure_once(spec, n, eff_budget, seed);
   for (int r = 1; r < repeats; ++r) {
     const CurvePoint next =
-        measure_once(spec, n, eff_budget, seed + static_cast<std::uint64_t>(r), leap_enabled);
+        measure_once(spec, n, eff_budget, seed + static_cast<std::uint64_t>(r));
     if (next.ns_per_effective < best.ns_per_effective) best = next;
   }
   return best;
@@ -112,47 +110,31 @@ int run_scaling(int min_exp, int max_exp, std::uint64_t eff_budget, double flat_
   std::cout << "=== Census scaling curve: Simple-Global-Line, " << eff_budget
             << " effective interactions per point ===\n\n";
 
-  std::vector<CurvePoint> census_curve;
-  std::vector<CurvePoint> leap_curve;
-  TextTable table({"n", "storage", "census ns/eff", "census-leap ns/eff", "eff (census)"});
+  std::vector<CurvePoint> curve;
+  TextTable table({"n", "storage", "census ns/eff", "eff (census)"});
   for (int exp = min_exp; exp <= max_exp; ++exp) {
     const int n = 1 << exp;
     const std::uint64_t point_seed = trial_seed(seed, static_cast<std::uint64_t>(exp));
-    census_curve.push_back(measure_point(spec, n, eff_budget, point_seed, false));
-    leap_curve.push_back(measure_point(spec, n, eff_budget, point_seed, true));
+    curve.push_back(measure_point(spec, n, eff_budget, point_seed));
     table.add_row({TextTable::integer(static_cast<std::uint64_t>(n)),
                    n > World::kDenseNodeLimit ? "sparse" : "dense",
-                   TextTable::num(census_curve.back().ns_per_effective, 1),
-                   TextTable::num(leap_curve.back().ns_per_effective, 1),
-                   TextTable::integer(census_curve.back().effective)});
+                   TextTable::num(curve.back().ns_per_effective, 1),
+                   TextTable::integer(curve.back().effective)});
   }
   std::cout << table << '\n';
-
-  const auto point_at = [](const std::vector<CurvePoint>& curve, int n) -> const CurvePoint* {
-    for (const CurvePoint& point : curve) {
-      if (point.n == n) return &point;
-    }
-    return nullptr;
-  };
 
   if (!json_path.empty()) {
     std::ofstream file(json_path);
     file << "{\n  \"bench\": \"engine_scaling\",\n"
          << "  \"protocol\": \"simple-global-line\",\n"
          << "  \"effective_budget\": " << eff_budget << ",\n"
-         << "  \"scaling_curve\": {\n";
-    const auto emit = [&file](const char* name, const std::vector<CurvePoint>& curve,
-                              bool last) {
-      file << "    \"" << name << "\": {\n";
-      for (std::size_t i = 0; i < curve.size(); ++i) {
-        file << "      \"n_" << curve[i].n << "\": " << curve[i].ns_per_effective
-             << (i + 1 < curve.size() ? ",\n" : "\n");
-      }
-      file << "    }" << (last ? "\n" : ",\n");
-    };
-    emit("census_ns_per_effective", census_curve, false);
-    emit("census_leap_ns_per_effective", leap_curve, true);
-    file << "  }\n}\n";
+         << "  \"scaling_curve\": {\n"
+         << "    \"census_ns_per_effective\": {\n";
+    for (std::size_t i = 0; i < curve.size(); ++i) {
+      file << "      \"n_" << curve[i].n << "\": " << curve[i].ns_per_effective
+           << (i + 1 < curve.size() ? ",\n" : "\n");
+    }
+    file << "    }\n  }\n}\n";
     file.flush();
     if (!file) {
       std::cerr << "failed to write " << json_path << '\n';
@@ -161,33 +143,29 @@ int run_scaling(int min_exp, int max_exp, std::uint64_t eff_budget, double flat_
     std::cout << "wrote " << json_path << '\n';
   }
 
-  bool ok = true;
-  if (flat_factor > 0.0) {
-    const int reference_n = 1 << std::min(std::max(10, min_exp), max_exp);
-    for (const auto* curve : {&census_curve, &leap_curve}) {
-      const CurvePoint* reference = point_at(*curve, reference_n);
-      const CurvePoint& top = curve->back();
-      const char* name = curve == &census_curve ? "census" : "census-leap";
-      if (reference == nullptr || reference->ns_per_effective <= 0.0) {
-        std::cout << "FAIL: " << name << " curve has no usable n = " << reference_n
-                  << " reference point\n";
-        ok = false;
-        continue;
-      }
-      const double ratio = top.ns_per_effective / reference->ns_per_effective;
-      if (ratio > flat_factor) {
-        std::cout << "FAIL: " << name << " ns/effective at n = " << top.n << " is "
-                  << TextTable::num(ratio, 2) << "x the n = " << reference_n
-                  << " figure (flat-curve gate: " << TextTable::num(flat_factor, 1) << "x)\n";
-        ok = false;
-      } else {
-        std::cout << "PASS: " << name << " curve is flat to " << TextTable::num(ratio, 2)
-                  << "x across n = " << (1 << min_exp) << " .. " << top.n << " (gate "
-                  << TextTable::num(flat_factor, 1) << "x)\n";
-      }
-    }
+  if (flat_factor <= 0.0) return 0;
+  if (curve.empty()) {
+    std::cout << "FAIL: empty scaling curve\n";
+    return 1;
   }
-  return ok ? 0 : 1;
+  const int reference_exp = std::min(std::max(10, min_exp), max_exp);
+  const CurvePoint& reference = curve[static_cast<std::size_t>(reference_exp - min_exp)];
+  const CurvePoint& top = curve.back();
+  if (reference.ns_per_effective <= 0.0) {
+    std::cout << "FAIL: census curve has no usable n = " << reference.n << " reference point\n";
+    return 1;
+  }
+  const double ratio = top.ns_per_effective / reference.ns_per_effective;
+  if (ratio > flat_factor) {
+    std::cout << "FAIL: census ns/effective at n = " << top.n << " is "
+              << TextTable::num(ratio, 2) << "x the n = " << reference.n
+              << " figure (flat-curve gate: " << TextTable::num(flat_factor, 1) << "x)\n";
+    return 1;
+  }
+  std::cout << "PASS: census curve is flat to " << TextTable::num(ratio, 2) << "x across n = "
+            << (1 << min_exp) << " .. " << top.n << " (gate " << TextTable::num(flat_factor, 1)
+            << "x)\n";
+  return 0;
 }
 
 struct StabilizationRun {

@@ -179,7 +179,7 @@ const std::vector<std::string>& fault_plan_examples() {
 }
 
 const std::vector<std::string>& engine_names() {
-  static const std::vector<std::string> names = {"naive", "census", "census-leap"};
+  static const std::vector<std::string> names = {"naive", "census"};
   return names;
 }
 
@@ -191,16 +191,6 @@ std::optional<EngineOption> make_engine(const std::string& name) {
                            std::unique_ptr<Scheduler> scheduler) -> std::unique_ptr<Engine> {
                           return std::make_unique<CensusEngine>(protocol, n, seed,
                                                                 std::move(scheduler));
-                        }};
-  }
-  if (name == "census-leap") {
-    return EngineOption{"census-leap",
-                        [](const Protocol& protocol, int n, std::uint64_t seed,
-                           std::unique_ptr<Scheduler> scheduler) -> std::unique_ptr<Engine> {
-                          CensusLeapOptions leap;
-                          leap.enabled = true;
-                          return std::make_unique<CensusEngine>(protocol, n, seed,
-                                                                std::move(scheduler), leap);
                         }};
   }
   return std::nullopt;

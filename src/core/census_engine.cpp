@@ -2,6 +2,7 @@
 
 #include "graph/graph.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/saturating.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -58,24 +59,21 @@ std::vector<EffectiveClass> effective_state_classes(const Protocol& protocol) {
 }
 
 CensusEngine::CensusEngine(Protocol protocol, int n, std::uint64_t seed,
-                           std::unique_ptr<Scheduler> scheduler, CensusLeapOptions leap)
-    : Simulator(std::move(protocol), n, seed, std::move(scheduler)), leap_(leap) {
-  // Census sampling natively assumes every unordered pair is equally
-  // likely each step; that is exactly the uniform random scheduler
-  // (whether installed by default or passed explicitly). A non-uniform
-  // scheduler that can state its law as static per-pair weights exports a
-  // weight model and runs on weighted census sampling; only a scheduler
-  // without one (an exact script) gets the naive path. Querying the model
-  // here consumes exactly the engine-RNG draws the scheduler's first
-  // next() would (e.g. the spatial placement), so the naive and census
-  // engines see the same embedding for a given trial seed.
-  const auto* uniform = dynamic_cast<const UniformRandomScheduler*>(Simulator::scheduler());
-  custom_scheduler_ = uniform == nullptr;
-  if (custom_scheduler_) {
+                           std::unique_ptr<Scheduler> scheduler)
+    : Simulator(std::move(protocol), n, seed, std::move(scheduler)) {
+  // The uniform random scheduler (whether installed by default or passed
+  // explicitly) is the degenerate weight model: every pair weighs the same.
+  // A non-uniform scheduler that can state its law as static per-pair
+  // weights exports its own model; only a scheduler without one (an exact
+  // script) gets the naive path. Querying the model here consumes exactly
+  // the engine-RNG draws the scheduler's first next() would (e.g. the
+  // spatial placement), so the naive and census engines see the same
+  // embedding for a given trial seed.
+  if (dynamic_cast<const UniformRandomScheduler*>(Simulator::scheduler()) != nullptr) {
+    weight_model_ = &uniform_model_.emplace(n);
+  } else {
     weight_model_ = Simulator::mutable_scheduler()->weight_model(rng(), n);
-    if (weight_model_ != nullptr) {
-      custom_scheduler_ = false;  // weighted sampling is exact, not a fallback
-    } else {
+    if (weight_model_ == nullptr) {
       note_fallback(g_noted_scheduler, "scheduler", "a non-uniform scheduler");
       return;  // the tables are never built; no journal needed
     }
@@ -87,7 +85,7 @@ CensusEngine::CensusEngine(Protocol protocol, int n, std::uint64_t seed,
 }
 
 void CensusEngine::set_interceptor(StepInterceptor* interceptor) noexcept {
-  if (interceptor != nullptr && !custom_scheduler_) {
+  if (interceptor != nullptr && weight_model_ != nullptr) {
     note_fallback(g_noted_interceptor, "interceptor", "a step interceptor");
   }
   interceptor_installed_ = interceptor != nullptr;
@@ -130,6 +128,8 @@ void CensusEngine::rebuild_tables() {
     classes_by_state_[classes_[i].a].push_back(i);
     if (classes_[i].b != classes_[i].a) classes_by_state_[classes_[i].b].push_back(i);
   }
+  // Weights, the running total and the alias bookkeeping are set by the
+  // refresh_weights() that ends the rebuild.
   weight_.assign(c, 0);
   snapshot_.assign(c, 0);
   snapshot_total_ = 0;
@@ -137,10 +137,6 @@ void CensusEngine::rebuild_tables() {
   alias_other_.assign(c, 0);
   class_dirty_.assign(c, 0);
   dirty_.clear();
-  surplus_total_ = 0;
-  total_weight_ = 0;
-  weights_stale_ = true;
-  alias_built_ = false;
 
   nodes_by_state_.assign(static_cast<std::size_t>(q), {});
   node_pos_.assign(static_cast<std::size_t>(n), -1);
@@ -161,6 +157,7 @@ void CensusEngine::rebuild_tables() {
   // active edge has two alive endpoints.
   w.for_each_active_edge([this](int u, int v) { insert_edge(u, v); });
   log_.clear();
+  refresh_weights();
 }
 
 void CensusEngine::sync_tables() {
@@ -344,10 +341,6 @@ void CensusEngine::touch_class(std::uint32_t ci) {
 }
 
 void CensusEngine::touch_state_classes(StateId q) {
-  // During a leap batch the whole weight array is wholesale-stale and
-  // refreshes at batch end; incremental maintenance would only corrupt the
-  // running totals.
-  if (weights_stale_) return;
   for (const std::uint32_t ci : classes_by_state_[q]) touch_class(ci);
 }
 
@@ -360,7 +353,6 @@ void CensusEngine::refresh_weights() {
   for (const std::uint32_t ci : dirty_) class_dirty_[ci] = 0;
   dirty_.clear();
   surplus_total_ = 0;
-  weights_stale_ = false;
   alias_built_ = false;  // the old snapshot's bookkeeping no longer applies
 }
 
@@ -417,12 +409,6 @@ bool CensusEngine::alias_rebuild_due() const noexcept {
   return capped * 2 < snapshot_total_;
 }
 
-std::size_t CensusEngine::alias_only_draw() {
-  const std::uint32_t col = static_cast<std::uint32_t>(rng().below(classes_.size()));
-  const std::uint64_t r = rng().below(snapshot_total_);
-  return r < alias_height_[col] ? col : alias_other_[col];
-}
-
 std::size_t CensusEngine::draw_class() {
   if (alias_rebuild_due()) rebuild_alias();
   // Mixture decomposition against the snapshot: with probability
@@ -441,7 +427,9 @@ std::size_t CensusEngine::draw_class() {
     }
   }
   while (true) {
-    const std::size_t ci = alias_only_draw();
+    const auto col = static_cast<std::uint32_t>(rng().below(classes_.size()));
+    const std::size_t ci =
+        rng().below(snapshot_total_) < alias_height_[col] ? col : alias_other_[col];
     if (class_dirty_[ci] == 0) return ci;  // weight unchanged since snapshot
     const std::uint64_t w = weight_[ci];
     const std::uint64_t snap = snapshot_[ci];
@@ -451,9 +439,7 @@ std::size_t CensusEngine::draw_class() {
 }
 
 std::uint64_t CensusEngine::effective_pair_weight() {
-  end_leap_batch();
   sync_tables();
-  if (weights_stale_) refresh_weights();
   return total_weight_;
 }
 
@@ -575,105 +561,8 @@ void CensusEngine::execute_and_update(int u, int v, std::uint32_t slot) {
   if (nb != sa && nb != sb && nb != na) touch_state_classes(nb);
 }
 
-std::uint32_t CensusEngine::leap_batch_size(std::uint64_t weight) const noexcept {
-  // One encounter changes the effectiveness triple of at most the 2n - 3
-  // unordered pairs containing one of its endpoints, so K draws drift W by
-  // at most K * (2n - 3): K = staleness * W / (2n) keeps every frozen
-  // within-batch weight inside the configured relative staleness bound.
-  const double bound = 2.0 * static_cast<double>(world().size());
-  const double k = leap_.staleness * static_cast<double>(weight) / bound;
-  if (k >= static_cast<double>(leap_.max_batch)) return leap_.max_batch;
-  if (k <= 0.0) return 0;
-  return static_cast<std::uint32_t>(k);
-}
-
 CensusEngine::StepOutcome CensusEngine::census_step(std::uint64_t budget) {
-  if (tables_dirty_ || !log_.clean()) {
-    end_leap_batch();  // external interference invalidates the frozen table
-    sync_tables();
-  }
-
-  if (weight_model_ != nullptr) {
-    // Weighted sampling never opens a leap batch (the drift bound does not
-    // cover the acceptance ratio), so the weights are maintained per step.
-    if (weights_stale_) refresh_weights();
-    return weighted_census_step(budget);
-  }
-
-  bool batching = leap_.enabled && leap_remaining_ > 0;
-  std::uint64_t weight = 0;
-  if (batching) {
-    weight = leap_frozen_weight_;
-  } else {
-    if (weights_stale_) refresh_weights();
-    weight = total_weight_;
-    if (weight == 0) return StepOutcome::kQuiescent;
-    if (leap_.enabled) {
-      const std::uint32_t k = leap_batch_size(weight);
-      if (k >= 2) {
-        if (!alias_built_ || !dirty_.empty()) rebuild_alias();
-        leap_remaining_ = k;
-        leap_frozen_weight_ = weight;
-        weights_stale_ = true;  // frozen table: suspend per-step maintenance
-        ++stats_.leap_batches;
-        batching = true;
-      }
-    }
-  }
-
-  // Class selection precedes the clock draw (they are independent, so the
-  // joint law is unchanged) so that a frozen draw landing on a dried-up
-  // class can abort to exact sampling before any steps are skipped.
-  std::size_t ci = 0;
-  std::uint64_t multiplicity = 0;
-  if (batching) {
-    ci = alias_only_draw();
-    multiplicity = class_multiplicity(classes_[ci]);
-    if (multiplicity == 0) {
-      ++stats_.leap_aborts;
-      end_leap_batch();
-      refresh_weights();
-      weight = total_weight_;
-      if (weight == 0) return StepOutcome::kQuiescent;
-      batching = false;
-    }
-  }
-  if (!batching) {
-    ci = draw_class();
-    multiplicity = weight_[ci];
-  }
-
-  const auto nodes = static_cast<std::uint64_t>(world().size());
-  const std::uint64_t total_pairs = nodes * (nodes - 1) / 2;
-  const double p = static_cast<double>(weight) / static_cast<double>(total_pairs);
-  const std::uint64_t skips = geometric_skips(p);
-  const std::uint64_t at = steps();
-  if (skips >= budget - at) {
-    // The next effective interaction falls beyond the budget: the naive
-    // engine would have burned the rest of it on ineffective steps. The
-    // discarded geometric tail (and the unused class draw) is redrawn by
-    // the next call -- exact, since both draws are independent and the
-    // geometric distribution is memoryless.
-    stats_.geometric_skips += budget - at;
-    skip_steps(budget - at);
-    return StepOutcome::kBudgetExhausted;
-  }
-  stats_.geometric_skips += skips;
-  skip_steps(skips + 1);
-
-  const BucketEdge pair = sample_pair(classes_[ci], multiplicity);
-  execute_and_update(pair.u, pair.v, pair.slot);
-  ++stats_.effective_samples;
-  if (batching) {
-    ++stats_.leap_batched_steps;
-    --leap_remaining_;
-  } else if (leap_.enabled) {
-    ++stats_.leap_exact_steps;
-  }
-  return StepOutcome::kExecuted;
-}
-
-CensusEngine::StepOutcome CensusEngine::weighted_census_step(std::uint64_t budget) {
+  if (tables_dirty_ || !log_.clean()) sync_tables();
   // m counts the effective pairs among alive nodes; the model's weights are
   // strictly positive over *all* pairs (dead ones included -- the naive
   // scheduler burns steps on those too), so the scheduler-weighted
@@ -696,6 +585,10 @@ CensusEngine::StepOutcome CensusEngine::weighted_census_step(std::uint64_t budge
       const std::uint64_t skips = geometric_skips(p_hat);
       const std::uint64_t at = steps();
       if (skips >= budget - at) {
+        // The next candidate falls beyond the budget: the naive engine
+        // would have burned the rest of it on ineffective steps. The
+        // discarded geometric tail is redrawn by the next call -- exact,
+        // since the geometric distribution is memoryless.
         stats_.geometric_skips += budget - at;
         skip_steps(budget - at);
         return StepOutcome::kBudgetExhausted;
@@ -711,7 +604,6 @@ CensusEngine::StepOutcome CensusEngine::weighted_census_step(std::uint64_t budge
       }
       execute_and_update(pair.u, pair.v, pair.slot);
       ++stats_.effective_samples;
-      ++stats_.weighted_samples;
       return StepOutcome::kExecuted;
     }
   }
@@ -735,7 +627,6 @@ CensusEngine::StepOutcome CensusEngine::weighted_census_step(std::uint64_t budge
     if (protocol().ineffective(std::min(a, b), std::max(a, b), edge)) continue;
     execute_and_update(e.first, e.second, edge ? find_edge_slot(e.first, e.second) : kNoSlot);
     ++stats_.effective_samples;
-    ++stats_.weighted_samples;
     return StepOutcome::kExecuted;
   }
   return StepOutcome::kBudgetExhausted;
@@ -756,7 +647,7 @@ void CensusEngine::run(std::uint64_t count) {
     Simulator::run(count);
     return;
   }
-  const std::uint64_t target = steps() + count;
+  const std::uint64_t target = saturating_add(steps(), count);
   while (steps() < target) {
     if (census_step(target) == StepOutcome::kQuiescent) {
       skip_steps(target - steps());
@@ -803,7 +694,8 @@ ConvergenceReport CensusEngine::run_until_stable(const StabilityOptions& options
     // there is nothing to re-check mid-flight; with one, pause on the same
     // amortization grid the naive engine uses.
     const std::uint64_t checkpoint =
-        options.certificate ? std::min(max_steps, steps() + check_interval) : max_steps;
+        options.certificate ? std::min(max_steps, saturating_add(steps(), check_interval))
+                            : max_steps;
     while (steps() < checkpoint) {
       if (census_step(checkpoint) == StepOutcome::kQuiescent) break;
     }
@@ -825,15 +717,10 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
     telemetry::Counter* alias_rebuilds = nullptr;
     telemetry::Counter* skips = nullptr;
     telemetry::Counter* samples = nullptr;
-    telemetry::Counter* leap_batches = nullptr;
-    telemetry::Counter* leap_batched = nullptr;
-    telemetry::Counter* leap_exact = nullptr;
-    telemetry::Counter* leap_aborts = nullptr;
     telemetry::Counter* weighted_samples = nullptr;
     telemetry::Counter* weighted_rejects = nullptr;
     telemetry::Counter* weighted_dense = nullptr;
     telemetry::Histogram* occupancy = nullptr;
-    telemetry::Histogram* batch_size = nullptr;
   };
   thread_local Handles handles;
   if (handles.registry_id != registry.id()) {
@@ -842,17 +729,11 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
     handles.alias_rebuilds = &registry.counter("census.alias_rebuilds");
     handles.skips = &registry.counter("census.geometric_skips");
     handles.samples = &registry.counter("census.effective_samples");
-    handles.leap_batches = &registry.counter("census.leap.batches");
-    handles.leap_batched = &registry.counter("census.leap.batched_steps");
-    handles.leap_exact = &registry.counter("census.leap.exact_steps");
-    handles.leap_aborts = &registry.counter("census.leap.aborts");
     handles.weighted_samples = &registry.counter("census.weighted_samples");
     handles.weighted_rejects = &registry.counter("census.weighted_rejects");
     handles.weighted_dense = &registry.counter("census.weighted_dense_steps");
     handles.occupancy = &registry.histogram("census.bucket_occupancy",
                                             {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
-    handles.batch_size = &registry.histogram(
-        "census.leap.batch_size", {0.0, 2.0, 8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0});
     handles.registry_id = registry.id();
   }
   handles.full_rebuilds->add(stats_.full_rebuilds);
@@ -860,20 +741,11 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
   handles.alias_rebuilds->add(stats_.alias_rebuilds);
   handles.skips->add(stats_.geometric_skips);
   handles.samples->add(stats_.effective_samples);
-  if (weight_model_ != nullptr) {
-    handles.weighted_samples->add(stats_.weighted_samples);
+  if (weight_model() != nullptr) {
+    // Every census sample is a weighted one under a scheduler's own model.
+    handles.weighted_samples->add(stats_.effective_samples);
     handles.weighted_rejects->add(stats_.weighted_rejects);
     handles.weighted_dense->add(stats_.weighted_dense_steps);
-  }
-  if (leap_.enabled) {
-    handles.leap_batches->add(stats_.leap_batches);
-    handles.leap_batched->add(stats_.leap_batched_steps);
-    handles.leap_exact->add(stats_.leap_exact_steps);
-    handles.leap_aborts->add(stats_.leap_aborts);
-    if (stats_.leap_batches > 0) {
-      handles.batch_size->record(static_cast<double>(stats_.leap_batched_steps) /
-                                 static_cast<double>(stats_.leap_batches));
-    }
   }
   if (fallback_active()) return;  // the tables may be stale; occupancy would lie
   // The occupancy distribution is sampled 1-in-8 publishes: q(q+1)/2
@@ -882,7 +754,6 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
   // still lands thousands of samples at 1-in-8.
   constexpr std::uint64_t kOccupancySampleEvery = 8;
   if (handles.publishes++ % kOccupancySampleEvery != 0) return;
-  end_leap_batch();
   sync_tables();
   const int q = protocol().state_count();
   for (int a = 0; a < q; ++a) {
@@ -899,7 +770,6 @@ std::size_t CensusEngine::debug_draw_class() {
 }
 
 const std::vector<EffectiveClass>& CensusEngine::debug_classes() {
-  end_leap_batch();
   sync_tables();
   return classes_;
 }
@@ -940,10 +810,8 @@ std::string CensusEngine::debug_table_snapshot() {
 }
 
 void CensusEngine::debug_force_full_rebuild() {
-  end_leap_batch();
   tables_dirty_ = true;
   sync_tables();
-  refresh_weights();
 }
 
 }  // namespace netcons

@@ -17,16 +17,33 @@
 //     positions; swap-remove everywhere; a free list recycles slots), and
 //   * the protocol-derived list of *effective classes*: the (a, b, c)
 //     triples, a <= b, for which Protocol::ineffective is false,
-// giving every class multiplicity -- and hence W -- in O(1). Each step it
-// draws the geometrically-distributed count of ineffective steps the naive
-// engine would have burned (success probability W/N), advances the step
-// counter past them, and then executes one encounter sampled uniformly
-// from the W effective pairs (class by multiplicity, then a concrete pair
-// within the class). Both the step index of every effective interaction
-// and the choice of interaction are therefore *exactly* the naive
-// distribution; convergence-step samples from the two engines are
-// statistically indistinguishable (the CI KS gate enforces this), at O(1)
-// expected cost per effective interaction instead of O(1/p).
+// giving every class multiplicity -- and hence W -- in O(1).
+//
+// One stepping loop serves every scheduler, through the weight-model seam
+// (SchedulerWeightModel, core/scheduler.hpp): a scheduler whose single-step
+// pair law is expressible as static per-pair weights exports a model, and
+// the uniform random scheduler runs against an engine-owned
+// UniformPairWeightModel -- the degenerate model with every weight equal.
+// With m = W the effective multiplicity, w_hat the model's weight bound
+// and W_s = sum of all pair weights (dead pairs included -- the naive
+// scheduler wastes steps on them), a candidate effective step occurs with
+// p_hat = m * w_hat / W_s. Each step draws the geometrically-distributed
+// count of ineffective steps the naive engine would have burned (success
+// probability p_hat), advances the clock past them, draws a class by
+// multiplicity and a concrete pair within it, and accepts the pair with
+// probability w(u,v)/w_hat: P(step executes (u,v)) = p_hat * (1/m) *
+// (w/w_hat) = w/W_s, the scheduler's law exactly. A rejected candidate is
+// one of the naive run's ineffective steps, already accounted by the
+// consumed clock tick. Uniform weights hit w == w_hat and draw no
+// acceptance coin, so for the uniform scheduler p_hat = W/N and every
+// candidate executes: both the step index of every effective interaction
+// and the choice of interaction are *exactly* the naive distribution (the
+// CI KS gate enforces this), at O(1) expected cost per effective
+// interaction instead of O(1/p). When p_hat >= 1 thinning is invalid and
+// the engine samples the model's own next()-equivalent law per step; that
+// only arises in weight-concentrated near-converged configurations (or,
+// uniformly, when every pair is effective, where per-step execution is
+// exactly as cheap).
 //
 // Class selection is an integer Walker alias table over the class weights,
 // rebuilt incrementally: every state/edge transition recomputes only the
@@ -44,39 +61,6 @@
 // deltas before the next sampled step (a full rebuild only happens if the
 // journal overflows, e.g. after a long naive-fallback phase).
 //
-// Leap mode ("census-leap" in the engine registry) batches K draws per
-// alias refresh: at batch start the weights are exact and the table is
-// freshly snapshotted; during the batch, draws reuse the frozen table and
-// frozen total W0, skipping all weight maintenance. One encounter changes
-// the effectiveness triple of at most the 2n-3 pairs containing one of its
-// endpoints, so |W - W0| <= k * (2n - 3) after k batched draws; choosing
-// K = staleness * W0 / (2n) keeps every within-batch sampling probability
-// within the configured relative staleness bound of exact. Batches abort
-// to exact sampling when a frozen draw lands on a class whose multiplicity
-// has dried up, and leap falls back to exact census stepping entirely
-// while K < 2 (small n or near-quiescent tails) -- so at small populations
-// census-leap *is* census.
-//
-// Non-uniform schedulers and the weight-model seam: a scheduler whose
-// single-step pair law is expressible as static per-pair weights exports a
-// SchedulerWeightModel (core/scheduler.hpp), and the engine runs it on
-// *weighted* census sampling instead of falling back. With m the effective
-// multiplicity, w_hat the model's weight bound and W_s = sum of all pair
-// weights (dead pairs included -- the naive scheduler wastes steps on
-// them), a candidate effective step occurs with p_hat = m * w_hat / W_s:
-// geometric skip at p_hat, uniform census draw, then thinning acceptance
-// w(u,v)/w_hat reproduces the scheduler's law exactly -- P(step executes
-// (u,v)) = p_hat * (1/m) * (w/w_hat) = w/W_s. A rejected candidate is one
-// of the naive run's ineffective steps, already accounted by the consumed
-// clock tick. When p_hat >= 1 thinning is invalid and the engine samples
-// the model's own next()-equivalent law per step, which costs at most
-// ~1/p_hat-ish rejections per effective interaction and only arises in
-// weight-concentrated near-converged configurations. Uniform-weight models
-// short-circuit the acceptance coin (w == w_hat draws nothing), so the
-// uniform scheduler's stream is untouched. Leap batching never opens under
-// a weight model: the frozen-table drift bound covers class weights only,
-// not the acceptance ratio.
-//
 // Exactness boundaries (the engine falls back -- one stderr note, never a
 // throw -- to the inherited naive per-step semantics):
 //   * a non-uniform scheduler that exports *no* weight model (e.g. an
@@ -93,6 +77,7 @@
 #include "core/simulator.hpp"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -111,48 +96,33 @@ struct EffectiveClass {
 /// table-agreement tests (tests/core/test_engine.cpp).
 [[nodiscard]] std::vector<EffectiveClass> effective_state_classes(const Protocol& protocol);
 
-/// Tuning for the batched leap mode. `staleness` bounds the relative drift
-/// of any within-batch sampling weight from exact: a batch holds
-/// K = min(max_batch, staleness * W0 / (2n)) draws against the frozen
-/// table, which is conservative because one encounter changes the triple
-/// of at most 2n - 3 unordered pairs. K < 2 means exact census stepping.
-struct CensusLeapOptions {
-  bool enabled = false;
-  double staleness = 0.05;
-  std::uint32_t max_batch = 4096;
-};
-
 class CensusEngine final : public Simulator {
  public:
   /// Internals counters surfaced by publish_metrics (single-threaded: an
   /// engine lives on one worker thread; the registry does the cross-thread
-  /// merging). Exposed for the delta-vs-rebuild and leap unit tests.
+  /// merging). Exposed for the unit tests.
   struct Stats {
     std::uint64_t full_rebuilds = 0;      ///< Full census-table rebuilds.
     std::uint64_t delta_updates = 0;      ///< Journal entries replayed as O(1) deltas.
     std::uint64_t alias_rebuilds = 0;     ///< Alias-table re-snapshots.
     std::uint64_t geometric_skips = 0;    ///< Ineffective steps skipped wholesale.
     std::uint64_t effective_samples = 0;  ///< Census-sampled effective encounters.
-    std::uint64_t leap_batches = 0;       ///< Frozen-table batches opened.
-    std::uint64_t leap_batched_steps = 0; ///< Draws served from a frozen table.
-    std::uint64_t leap_exact_steps = 0;   ///< Leap-mode draws served exactly (K < 2).
-    std::uint64_t leap_aborts = 0;        ///< Batches aborted on a dried-up class.
-    std::uint64_t weighted_samples = 0;   ///< Weighted-path effective encounters.
     std::uint64_t weighted_rejects = 0;   ///< Thinning candidates rejected.
     std::uint64_t weighted_dense_steps = 0;  ///< Per-step draws in the dense regime.
   };
 
-  /// Census sampling natively assumes the uniform random scheduler (the
-  /// default, also recognized when passed explicitly). A non-uniform
-  /// scheduler exporting a SchedulerWeightModel runs on weighted census
-  /// sampling (see the header comment); one exporting none triggers the
+  /// The uniform random scheduler (the default, also recognized when
+  /// passed explicitly) runs against an engine-owned uniform weight model;
+  /// a non-uniform scheduler exporting a SchedulerWeightModel runs against
+  /// its own (see the header comment); one exporting none triggers the
   /// naive fallback for the engine's whole lifetime.
   CensusEngine(Protocol protocol, int n, std::uint64_t seed,
-               std::unique_ptr<Scheduler> scheduler = nullptr, CensusLeapOptions leap = {});
+               std::unique_ptr<Scheduler> scheduler = nullptr);
+  // The world's mutation log and weight_model_ point into this object.
+  CensusEngine(const CensusEngine&) = delete;
+  CensusEngine& operator=(const CensusEngine&) = delete;
 
-  [[nodiscard]] const char* engine_name() const noexcept override {
-    return leap_.enabled ? "census-leap" : "census";
-  }
+  [[nodiscard]] const char* engine_name() const noexcept override { return "census"; }
 
   /// External mutations are journaled (WorldMutationLog) and replayed as
   /// exact deltas before the next sampled step.
@@ -170,51 +140,47 @@ class CensusEngine final : public Simulator {
   [[nodiscard]] ConvergenceReport run_until_stable(const StabilityOptions& options) override;
   using Engine::run_until_stable;
 
-  /// O(1) while the census tables and weights are fresh; otherwise the
+  /// O(1) while the census tables are in sync; otherwise the
   /// inherited O(n^2) scan (a const method cannot replay the journal).
   [[nodiscard]] bool is_quiescent() const override {
-    if (!tables_dirty_ && !weights_stale_ && log_.clean() && leap_remaining_ == 0) {
-      return total_weight_ == 0;
-    }
+    if (!tables_dirty_ && log_.clean()) return total_weight_ == 0;
     return Simulator::is_quiescent();
   }
 
   /// Whether the engine is currently executing per-step naive semantics
-  /// instead of census sampling (model-less custom scheduler or live
+  /// instead of census sampling (model-less scheduler or live
   /// interceptor). Weighted census sampling is NOT a fallback.
   [[nodiscard]] bool fallback_active() const noexcept {
-    return custom_scheduler_ || interceptor_installed_;
+    return weight_model_ == nullptr || interceptor_installed_;
   }
 
-  /// The scheduler's weight model when weighted census sampling is active,
-  /// nullptr on the uniform (or fallback) paths.
+  /// The model the scheduler exported, nullptr for the uniform random
+  /// scheduler (whose model the engine owns) and on the fallback path.
   [[nodiscard]] const SchedulerWeightModel* weight_model() const noexcept {
-    return weight_model_;
+    return uniform_model_ ? nullptr : weight_model_;
   }
 
   /// Total multiplicity W of effective pairs in the current configuration
-  /// (replays the journal / refreshes weights if stale; ends any open leap
-  /// batch). W == 0 iff the configuration is quiescent -- the O(1) form of
-  /// Engine::is_quiescent.
+  /// (replays the journal first). W == 0 iff the configuration is
+  /// quiescent -- the O(1) form of Engine::is_quiescent.
   [[nodiscard]] std::uint64_t effective_pair_weight();
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const CensusLeapOptions& leap_options() const noexcept { return leap_; }
 
   /// Publishes the inherited engine.* counters plus the census.* family
   /// (full_rebuilds / delta_updates / alias_rebuilds / geometric_skips /
-  /// effective_samples, the census.leap.* batch counters when leap mode is
-  /// on, the census.weighted_* counters when a weight model is active) and
-  /// the census.bucket_occupancy histogram (active-edge bucket
-  /// sizes over the current configuration; sampled 1-in-8 publishes to
-  /// keep per-trial cost inside the telemetry overhead budget, and omitted
-  /// while the naive fallback is active, when the tables may be stale).
+  /// effective_samples, and the census.weighted_* counters when the
+  /// scheduler exported its own weight model) and the
+  /// census.bucket_occupancy histogram (active-edge bucket sizes over the
+  /// current configuration; sampled 1-in-8 publishes to keep per-trial
+  /// cost inside the telemetry overhead budget, and omitted while the
+  /// naive fallback is active, when the tables may be stale).
   void publish_metrics(telemetry::Registry& registry) override;
 
   // --- Test hooks (deterministic, but not part of the engine contract) ---
 
   /// One class draw against the current weights via the alias/mixture
-  /// sampler; returns an index into debug_classes(). Ends any open batch.
+  /// sampler; returns an index into debug_classes().
   [[nodiscard]] std::size_t debug_draw_class();
   /// The effective classes, after syncing the tables.
   [[nodiscard]] const std::vector<EffectiveClass>& debug_classes();
@@ -246,12 +212,13 @@ class CensusEngine final : public Simulator {
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   // --- table lifecycle ---
+  /// Rebuild the tables from the world, ending with fresh weights.
   void rebuild_tables();
   /// Bring the tables in line with the world: full rebuild if flagged or
   /// the journal overflowed, otherwise exact per-entry journal replay.
   void sync_tables();
   void apply_log_entry(const WorldMutationLog::Entry& entry);
-  /// Recompute every class weight from the tables (post-batch, post-sync).
+  /// Recompute every class weight from the tables.
   void refresh_weights();
 
   // --- SoA edge store ---
@@ -268,14 +235,11 @@ class CensusEngine final : public Simulator {
 
   // --- alias table / weight maintenance ---
   /// Recompute one class's weight and fold the change into the running
-  /// total, the dirty log, and the surplus term. No-op while a leap batch
-  /// has the weights wholesale-stale.
+  /// total, the dirty log, and the surplus term.
   void touch_class(std::uint32_t ci);
   void touch_state_classes(StateId q);
   void rebuild_alias();
   [[nodiscard]] bool alias_rebuild_due() const noexcept;
-  /// Draw ~ snapshot weights (frozen-table path; requires alias_built_).
-  [[nodiscard]] std::size_t alias_only_draw();
   /// Draw ~ *current* weights, exactly (mixture + rejection over the
   /// alias proposal). Requires fresh weights and total_weight_ > 0.
   [[nodiscard]] std::size_t draw_class();
@@ -284,35 +248,27 @@ class CensusEngine final : public Simulator {
   [[nodiscard]] std::uint64_t geometric_skips(double p);
   /// Pick a concrete unordered pair uniformly within the class.
   [[nodiscard]] BucketEdge sample_pair(const EffectiveClass& cls, std::uint64_t multiplicity);
-  /// One census-sampled step, never advancing the clock past `budget`.
-  /// Memoryless: a kBudgetExhausted tail is redrawn by the next call.
+  /// One census-sampled step against weight_model_, never advancing the
+  /// clock past `budget`: thinning when p_hat < 1, per-step model sampling
+  /// otherwise. Memoryless: a kBudgetExhausted tail is redrawn by the next
+  /// call.
   StepOutcome census_step(std::uint64_t budget);
-  /// The weighted-sampling step (weight_model_ != nullptr): thinning when
-  /// p_hat < 1, per-step model sampling otherwise. Requires synced tables
-  /// and fresh weights.
-  StepOutcome weighted_census_step(std::uint64_t budget);
   /// Apply the encounter and incrementally repair tables and weights.
   /// `slot` is the pair's edge slot, kNoSlot when the pair has no edge;
   /// every caller already knows which, so no adjacency scan happens here.
   void execute_and_update(int u, int v, std::uint32_t slot);
-  [[nodiscard]] std::uint32_t leap_batch_size(std::uint64_t weight) const noexcept;
-  void end_leap_batch() noexcept { leap_remaining_ = 0; }
 
-  bool custom_scheduler_ = false;
   bool interceptor_installed_ = false;
-  /// Non-owning; points into the scheduler (which outlives every step) when
-  /// weighted census sampling is active.
-  SchedulerWeightModel* weight_model_ = nullptr;
+  /// The uniform random scheduler's model, owned here.
+  std::optional<UniformPairWeightModel> uniform_model_;
+  /// The active model: &*uniform_model_, or one the scheduler exported
+  /// (non-owning; the scheduler outlives every step). nullptr for a
+  /// model-less scheduler, which keeps the naive fallback for good.
+  const SchedulerWeightModel* weight_model_ = nullptr;
   bool tables_dirty_ = true;
-  /// True while per-class weights are wholesale-stale (during a leap batch
-  /// and until the first refresh after it); total_weight_ is then invalid.
-  bool weights_stale_ = true;
   bool alias_built_ = false;
 
   Stats stats_;
-  CensusLeapOptions leap_;
-  std::uint32_t leap_remaining_ = 0;
-  std::uint64_t leap_frozen_weight_ = 0;
 
   WorldMutationLog log_;
 

@@ -41,8 +41,14 @@ struct Encounter {
 /// For history-dependent schedulers (random-permutation rounds,
 /// stale-biased picks) the exported model is the single-step *marginal*
 /// law, which is uniform by symmetry; census reproduces the marginal
-/// exactly and deliberately ignores temporal correlations. The CI
-/// weighted-census KS gate bounds the observed effect per scheduler.
+/// exactly and deliberately ignores temporal correlations. The effect is
+/// measurable: stale-biased (bias 0.05) on Cycle-Cover n = 64 reads
+/// naive-vs-census KS 0.062-0.072 over 3000 v 3000 trials, across seeds.
+/// The CI weighted-census KS gate bounds the observed effect per
+/// scheduler.
+///
+/// The uniform random scheduler is the degenerate case: the census engine
+/// runs it against its own UniformPairWeightModel, on the same loop.
 class SchedulerWeightModel {
  public:
   virtual ~SchedulerWeightModel() = default;
@@ -78,9 +84,10 @@ class Scheduler {
   }
 };
 
-/// The uniform pair law over n nodes: every scheduler whose single-step
-/// marginal is uniform (random-permutation, stale-biased) exports this
-/// model. pair_weight == max_weight everywhere, which the census engine
+/// The uniform pair law over n nodes: the census engine's model for the
+/// uniform random scheduler, and the model every scheduler whose
+/// single-step marginal is uniform (random-permutation, stale-biased)
+/// exports. pair_weight == max_weight everywhere, which the census engine
 /// recognizes and accepts without consuming acceptance randomness.
 class UniformPairWeightModel final : public SchedulerWeightModel {
  public:

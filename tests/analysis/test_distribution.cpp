@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
 #include <random>
 #include <vector>
 
@@ -370,8 +371,10 @@ TEST(RecordDistributionBuilder, AgreesWithEngineAggregatesOnALiveCampaign) {
   std::vector<campaign::TrialRecord> records;
   campaign::RunOptions options;
   options.threads = 2;
-  options.on_trial = [&records](std::size_t point, int trial, std::uint64_t seed,
-                                const campaign::TrialOutcome& outcome) {
+  std::mutex mutex;  // on_trial runs on the worker threads
+  options.on_trial = [&records, &mutex](std::size_t point, int trial, std::uint64_t seed,
+                                        const campaign::TrialOutcome& outcome) {
+    const std::lock_guard<std::mutex> lock(mutex);
     records.push_back(campaign::TrialRecord{point, trial, seed, outcome});
   };
   const campaign::CampaignResult live = campaign::run(spec, options);

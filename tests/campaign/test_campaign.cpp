@@ -292,7 +292,7 @@ TEST(Seeds, StreamMatchesTrialSeedAndChildStreamsDiffer) {
 }
 
 TEST(Registry, EngineRegistryResolvesAndRejects) {
-  EXPECT_EQ(engine_names().size(), 3u);
+  EXPECT_EQ(engine_names(), (std::vector<std::string>{"naive", "census"}));
   const auto naive = make_engine("naive");
   ASSERT_TRUE(naive.has_value());
   EXPECT_EQ(naive->name, "naive");
@@ -304,13 +304,7 @@ TEST(Registry, EngineRegistryResolvesAndRejects) {
   const auto engine = census->make(protocols::global_star().protocol, 8, 1, nullptr);
   ASSERT_NE(engine, nullptr);
   EXPECT_STREQ(engine->engine_name(), "census");
-  const auto leap = make_engine("census-leap");
-  ASSERT_TRUE(leap.has_value());
-  EXPECT_EQ(leap->name, "census-leap");
-  ASSERT_TRUE(static_cast<bool>(leap->make));
-  const auto leap_engine = leap->make(protocols::global_star().protocol, 8, 1, nullptr);
-  ASSERT_NE(leap_engine, nullptr);
-  EXPECT_STREQ(leap_engine->engine_name(), "census-leap");
+  EXPECT_FALSE(make_engine("census-leap").has_value());
   EXPECT_FALSE(make_engine("warp").has_value());
 }
 

@@ -1,11 +1,10 @@
 // Web-scale census machinery: the alias/mixture class sampler against an
 // independent linear scan, delta-updated SoA tables against from-scratch
 // rebuilds, the mutation journal (O(1) external deltas, overflow
-// fallback), the census-leap batching mode, and the sparse World edge
-// storage that serves populations past the dense-bitset budget.
+// fallback), and the sparse World edge storage that serves populations
+// past the dense-bitset budget.
 #include "core/census_engine.hpp"
 
-#include "analysis/distribution.hpp"
 #include "campaign/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -214,64 +213,6 @@ TEST(CensusDeltas, JournalOverflowFallsBackToOneFullRebuild) {
   EXPECT_EQ(engine.stats().full_rebuilds, rebuilds_before + 1);
   EXPECT_EQ(engine.debug_class_weights(), linear_scan_weights(spec.protocol, engine.world()));
   EXPECT_EQ(weight, engine.effective_pair_weight());
-}
-
-// --- census-leap -----------------------------------------------------------
-
-TEST(CensusLeap, IsExactlyCensusWhileBatchesCannotOpen) {
-  // Below W >= 4n / staleness the batch size K stays under 2 and leap mode
-  // serves every draw exactly -- bit-identical trajectories, not merely
-  // distributionally matched.
-  const ProtocolSpec spec = *campaign::make_protocol("global-star");
-  CensusEngine census(spec.protocol, 24, 5);
-  CensusLeapOptions leap_on;
-  leap_on.enabled = true;
-  CensusEngine leap(spec.protocol, 24, 5, nullptr, leap_on);
-  EXPECT_STREQ(leap.engine_name(), "census-leap");
-
-  const ConvergenceReport census_report = census.run_until_stable();
-  const ConvergenceReport leap_report = leap.run_until_stable();
-  ASSERT_TRUE(census_report.stabilized);
-  ASSERT_TRUE(leap_report.stabilized);
-  EXPECT_EQ(census_report.steps_executed, leap_report.steps_executed);
-  EXPECT_EQ(census_report.convergence_step, leap_report.convergence_step);
-  EXPECT_EQ(leap.stats().leap_batches, 0u);
-  EXPECT_GT(leap.stats().leap_exact_steps, 0u);
-}
-
-TEST(CensusLeap, ConvergenceStepDistributionMatchesCensusWhenEngaged) {
-  // Two-sample KS over convergence steps, 300 trials per engine on
-  // Cycle-Cover at n = 300 -- large enough that batches open (the initial
-  // W = n(n-1)/2 gives K ~ staleness * n / 4 ~ 3) and the staleness bound
-  // is actually load-bearing. Same 0.12 bar as the naive-vs-census gate;
-  // deterministic in the seeds, so this does not flake.
-  const ProtocolSpec spec = *campaign::make_protocol("cycle-cover");
-  const int n = 300;
-  const int trials = 300;
-  CensusLeapOptions leap_on;
-  leap_on.enabled = true;
-
-  std::uint64_t batches = 0;
-  analysis::ValueDistribution census_dist;
-  analysis::ValueDistribution leap_dist;
-  for (int t = 0; t < trials; ++t) {
-    const std::uint64_t seed = trial_seed(4247, static_cast<std::uint64_t>(t));
-    CensusEngine census(spec.protocol, n, seed);
-    const ConvergenceReport census_report = census.run_until_stable();
-    ASSERT_TRUE(census_report.stabilized);
-    census_dist.add(census_report.convergence_step);
-
-    CensusEngine leap(spec.protocol, n, seed, nullptr, leap_on);
-    const ConvergenceReport leap_report = leap.run_until_stable();
-    ASSERT_TRUE(leap_report.stabilized);
-    leap_dist.add(leap_report.convergence_step);
-    batches += leap.stats().leap_batches;
-    if (t == 0) {
-      EXPECT_GT(leap.stats().leap_batched_steps, 0u);
-    }
-  }
-  EXPECT_GT(batches, 0u);
-  EXPECT_LT(analysis::ks_distance(census_dist, leap_dist), 0.12);
 }
 
 // --- sparse edge storage ---------------------------------------------------

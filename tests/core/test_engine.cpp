@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -189,6 +190,19 @@ TEST(CensusEngine, RunAdvancesExactlyTheRequestedSteps) {
   // far fewer steps with overwhelming probability at these seeds).
   EXPECT_TRUE(engine.is_quiescent());
   EXPECT_TRUE(naive.is_quiescent());
+}
+
+TEST(CensusEngine, RunSaturatesAHugeCountInsteadOfWrapping) {
+  // steps() + count would wrap past 2^64 here; the run target saturates,
+  // so the engine runs to quiescence and burns the rest of the clock, as
+  // Simulator::run would step for step.
+  const ProtocolSpec spec = *campaign::make_protocol("cycle-cover");
+  CensusEngine engine(spec.protocol, 16, 5);
+  engine.run(10);
+  ASSERT_EQ(engine.steps(), 10u);
+  engine.run(std::numeric_limits<std::uint64_t>::max() - 5);
+  EXPECT_TRUE(engine.is_quiescent());
+  EXPECT_EQ(engine.steps(), std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(CensusEngine, RunUntilMatchesPredicateSemantics) {

@@ -36,7 +36,28 @@ TEST(WeightedCensus, NonUniformSchedulersAvoidTheNaiveFallback) {
     const ConvergenceReport report = engine.run_until_stable();
     EXPECT_TRUE(report.stabilized) << name;
     // The run actually exercised the weighted path.
-    EXPECT_GT(engine.stats().weighted_samples, 0u) << name;
+    EXPECT_GT(engine.stats().effective_samples, 0u) << name;
+  }
+}
+
+TEST(WeightedCensus, UniformMarginalModelStepsExactlyLikeTheUniformScheduler) {
+  // The uniform scheduler runs against the engine's own uniform weight
+  // model, through the one stepping loop every model shares. Permutation
+  // exports the same model and consumes no RNG building it, so the two
+  // trajectories must coincide draw for draw.
+  for (const char* name : {"cycle-cover", "global-star", "simple-global-line"}) {
+    const ProtocolSpec spec = *campaign::make_protocol(name);
+    CensusEngine uniform(spec.protocol, 48, 11);
+    CensusEngine permutation(spec.protocol, 48, 11, make_named("permutation"));
+    EXPECT_EQ(uniform.weight_model(), nullptr) << name;
+    const ConvergenceReport a = uniform.run_until_stable();
+    const ConvergenceReport b = permutation.run_until_stable();
+    ASSERT_TRUE(a.stabilized) << name;
+    EXPECT_EQ(a.convergence_step, b.convergence_step) << name;
+    EXPECT_EQ(uniform.steps(), permutation.steps()) << name;
+    EXPECT_EQ(uniform.effective_steps(), permutation.effective_steps()) << name;
+    EXPECT_EQ(uniform.stats().weighted_rejects, 0u) << name;
+    EXPECT_EQ(permutation.stats().weighted_rejects, 0u) << name;
   }
 }
 

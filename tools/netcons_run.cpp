@@ -73,8 +73,7 @@ void print_help(const char* argv0) {
                "  --n N                   population size (default 20)\n"
                "  --seed S                trial seed (default 1)\n"
                "  --trials T              trials; > 1 reports mean/median/CI (default 1)\n"
-               "  --engine NAME           execution engine: naive, census, census-leap\n"
-               "                          (default naive)\n"
+               "  --engine NAME           execution engine: naive, census (default naive)\n"
                "  --k K  --c C  --d D     protocol-family parameters\n"
                "  --dot FILE              export the constructed network as Graphviz DOT\n"
                "  --ascii                 render the constructed network as ASCII art\n"
@@ -87,7 +86,7 @@ void print_help(const char* argv0) {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " --protocol <name> [--n N] [--seed S] [--trials T]\n"
-               "       [--engine naive|census|census-leap] [--k K] [--c C] [--d D]\n"
+               "       [--engine naive|census] [--k K] [--c C] [--d D]\n"
                "       [--dot FILE] [--ascii] [--describe] [--telemetry DIR]\n"
                "       " << argv0 << " --list\n"
             << "(--help for flag descriptions)\n";
