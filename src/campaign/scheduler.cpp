@@ -2,11 +2,11 @@
 
 #include "analysis/report.hpp"
 #include "campaign/result_sink.hpp"
-#include "fabric/coordinator.hpp"
 #include "telemetry/heartbeat.hpp"
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -29,7 +29,7 @@ void write_text(const std::filesystem::path& path, const std::string& content) {
 
 /// Last parseable heartbeat line of the job spool — the live progress a
 /// poll reports. Torn tails and foreign lines skip silently, exactly like
-/// the other tailing readers (netcons_top, the fabric coordinator).
+/// the other tailing reader (netcons_top).
 void fill_progress(const std::string& path, JobStatus& status) {
   std::ifstream file(path, std::ios::binary);
   if (!file) return;
@@ -42,6 +42,18 @@ void fill_progress(const std::string& path, JobStatus& status) {
   status.trials_done = last->trials_done;
   status.trials_per_sec = last->trials_per_sec;
   status.eta_s = last->eta_s;
+}
+
+/// A completed cache entry's status: no trials run for it in this process.
+JobStatus cached_status(const std::string& id, const CampaignHeader& header) {
+  JobStatus status;
+  status.id = id;
+  status.state = JobState::kDone;
+  status.cached = true;
+  status.trials_total = static_cast<std::uint64_t>(header.points.size()) *
+                        static_cast<std::uint64_t>(header.trials);
+  status.trials_done = status.trials_total;
+  return status;
 }
 
 }  // namespace
@@ -79,7 +91,12 @@ struct Scheduler::Job {
   JobDispatch dispatch = JobDispatch::kLocal;
   JobState state = JobState::kQueued;
   double wall_seconds = 0.0;
-  int fabric_port = -1;
+  /// kFabric: the lease table, created when the job is queued so workers
+  /// can join before a job worker starts it. Grants wait for `leasing`,
+  /// which run_fabric sets once the spool's resumed slots are precommitted.
+  std::unique_ptr<fabric::CoordinatorCore> leases;
+  bool leasing = false;
+  std::optional<fabric::CoordinatorCore::Clock::time_point> first_grant;
   std::string error;
   std::vector<Observer> observers;
   /// Completions whose observers are still firing: wait() holds back until
@@ -105,6 +122,7 @@ Scheduler::~Scheduler() {
     stopping_ = true;
   }
   work_cv_.notify_all();
+  fabric_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
@@ -132,8 +150,9 @@ JobStatus Scheduler::status_locked(const Job& job) const {
   status.trials_total = static_cast<std::uint64_t>(job.header.points.size()) *
                         static_cast<std::uint64_t>(job.header.trials);
   if (job.state == JobState::kDone) status.trials_done = status.trials_total;
+  // A fabric job's trials run elsewhere: its lease table is the progress.
+  if (job.state == JobState::kRunning && job.leases) status.trials_done = job.leases->committed();
   status.wall_seconds = job.wall_seconds;
-  status.fabric_port = job.fabric_port;
   if (job.state == JobState::kQueued || job.state == JobState::kRunning) {
     status.records_dir = spool_records_dir(job.id);
   }
@@ -143,6 +162,28 @@ JobStatus Scheduler::status_locked(const Job& job) const {
 
 void Scheduler::count(std::string_view name) const {
   if (options_.registry != nullptr) options_.registry->add(name);
+}
+
+void Scheduler::enqueue_locked(const std::shared_ptr<Job>& job, JobDispatch dispatch,
+                               Observer observer) {
+  job->state = JobState::kQueued;
+  job->error.clear();
+  job->dispatch = dispatch;
+  job->leases.reset();
+  job->leasing = false;
+  job->first_grant.reset();
+  if (dispatch == JobDispatch::kFabric) {
+    const double deadline = options_.fabric_deadline_seconds;
+    fabric::CoreOptions core;
+    core.lease_size = options_.fabric_lease_size;
+    core.deadline = std::chrono::duration_cast<fabric::CoordinatorCore::Clock::duration>(
+        std::chrono::duration<double>(deadline > 0.0 ? deadline : 1e9));
+    job->leases = std::make_unique<fabric::CoordinatorCore>(job->header.points.size(),
+                                                            job->header.trials, core);
+  }
+  if (observer) job->observers.push_back(std::move(observer));
+  queue_.push_back(job);
+  work_cv_.notify_one();
 }
 
 Scheduler::Submitted Scheduler::submit(const CampaignSpec& spec, JobDispatch dispatch,
@@ -166,13 +207,8 @@ Scheduler::Submitted Scheduler::submit(const CampaignSpec& spec, JobDispatch dis
         case JobState::kDone:
           if (!cache_entry_matches(id, header)) {
             // Completed earlier but evicted since: treat as a miss.
-            job.state = JobState::kQueued;
-            job.error.clear();
-            job.dispatch = dispatch;
-            if (observer) job.observers.push_back(std::move(observer));
-            queue_.push_back(it->second);
+            enqueue_locked(it->second, dispatch, std::move(observer));
             count("scheduler.cache_misses");
-            work_cv_.notify_one();
             return submitted;
           }
           // Completed earlier in this process: the artifacts are in the
@@ -185,25 +221,13 @@ Scheduler::Submitted Scheduler::submit(const CampaignSpec& spec, JobDispatch dis
         case JobState::kFailed:
           // A failure (disk, fabric give-up) is retryable: the spool kept
           // its records, so the retry resumes instead of starting over.
-          job.state = JobState::kQueued;
-          job.error.clear();
-          job.dispatch = dispatch;
-          if (observer) job.observers.push_back(std::move(observer));
-          queue_.push_back(it->second);
+          enqueue_locked(it->second, dispatch, std::move(observer));
           count("scheduler.retries");
-          work_cv_.notify_one();
           return submitted;
       }
     } else if (cache_entry_matches(id, header)) {
       submitted.cached = true;
-      JobStatus status;
-      status.id = id;
-      status.state = JobState::kDone;
-      status.cached = true;
-      status.trials_total = static_cast<std::uint64_t>(header.points.size()) *
-                            static_cast<std::uint64_t>(header.trials);
-      status.trials_done = status.trials_total;
-      immediate = status;
+      immediate = cached_status(id, header);
       // Refresh the entry so least-recently-hit eviction keeps hot specs.
       std::error_code ec;
       std::filesystem::last_write_time(std::filesystem::path(entry_dir(id)) / "summary.json",
@@ -214,12 +238,9 @@ Scheduler::Submitted Scheduler::submit(const CampaignSpec& spec, JobDispatch dis
       job->id = id;
       job->spec = spec;
       job->header = header;
-      job->dispatch = dispatch;
-      if (observer) job->observers.push_back(std::move(observer));
       jobs_.emplace(id, job);
-      queue_.push_back(std::move(job));
+      enqueue_locked(job, dispatch, std::move(observer));
       count("scheduler.cache_misses");
-      work_cv_.notify_one();
       return submitted;
     }
   }
@@ -235,7 +256,7 @@ std::optional<JobStatus> Scheduler::poll(const std::string& id) const {
     const auto it = jobs_.find(id);
     if (it != jobs_.end()) {
       status = status_locked(*it->second);
-      if (status.state == JobState::kRunning) {
+      if (status.state == JobState::kRunning && !it->second->leases) {
         heartbeat_path = (std::filesystem::path(options_.cache_dir) / "jobs" / id /
                           "heartbeat.jsonl")
                              .string();
@@ -248,13 +269,7 @@ std::optional<JobStatus> Scheduler::poll(const std::string& id) const {
       std::ifstream file(entry / "header.jsonl", std::ios::binary);
       std::string line;
       if (!file || !std::getline(file, line)) return std::nullopt;
-      const CampaignHeader header = parse_header_line(line);
-      status.id = id;
-      status.state = JobState::kDone;
-      status.cached = true;
-      status.trials_total = static_cast<std::uint64_t>(header.points.size()) *
-                            static_cast<std::uint64_t>(header.trials);
-      status.trials_done = status.trials_total;
+      status = cached_status(id, parse_header_line(line));
     }
   }
   if (!heartbeat_path.empty()) fill_progress(heartbeat_path, status);
@@ -395,51 +410,163 @@ void Scheduler::run_job(Job& job) {
 }
 
 CampaignResult Scheduler::run_fabric(Job& job, const OutcomeMap& resume) {
-  fabric::CoordinatorOptions coordinator_options;
-  coordinator_options.host = options_.fabric_host;
-  coordinator_options.port = 0;
-  coordinator_options.lease_size = options_.fabric_lease_size;
-  coordinator_options.deadline_seconds = options_.fabric_deadline_seconds;
-  coordinator_options.max_idle_seconds = options_.fabric_max_idle_seconds;
-  coordinator_options.quiet = true;
-  coordinator_options.registry = options_.registry;
-  coordinator_options.on_listening = [this, &job](int port) {
-    std::lock_guard lock(mutex_);
-    job.fabric_port = port;
-  };
-
-  fabric::CoordinatorSummary summary;
-  try {
-    fabric::Coordinator coordinator(job.header, resume.empty() ? nullptr : &resume,
-                                    coordinator_options);
-    summary = coordinator.serve();
-  } catch (...) {
-    std::lock_guard lock(mutex_);
-    job.fabric_port = -1;
-    throw;
-  }
+  using Clock = fabric::CoordinatorCore::Clock;
+  const std::chrono::duration<double> max_idle(options_.fabric_max_idle_seconds);
+  std::optional<Clock::time_point> first_grant;
   {
-    std::lock_guard lock(mutex_);
-    job.fabric_port = -1;
-  }
-  if (!summary.complete) {
-    throw std::runtime_error(
-        "scheduler: fabric dispatch gave up with " + std::to_string(summary.trials_committed) +
-        "/" + std::to_string(summary.trials_total) +
-        " trials committed; resubmit to resume (workers stream records into " +
-        spool_records_dir(job.id) + ")");
+    // Workers drive the lease table through fabric_join and fabric_lease;
+    // this loop only declares the silent ones dead and waits for the grid.
+    std::unique_lock lock(mutex_);
+    fabric::CoordinatorCore& core = *job.leases;
+    for (const auto& [key, outcome] : resume) core.precommit(key.first, key.second);
+    job.leasing = true;
+    auto last_live = Clock::now();
+    for (;;) {
+      const auto now = Clock::now();
+      (void)core.expire(now);
+      publish_fabric_gauges(core);
+      if (core.done()) break;
+      if (core.live_workers() > 0) last_live = now;
+      const bool idle = max_idle.count() > 0.0 && now - last_live > max_idle;
+      if (stopping_ || idle) {
+        throw std::runtime_error(
+            std::string("scheduler: fabric dispatch ") +
+            (idle ? "gave up (no live worker within the idle limit)" : "stopped") + " with " +
+            std::to_string(core.committed()) + "/" + std::to_string(core.total()) +
+            " trials committed; resubmit to resume (workers stream records into " +
+            spool_records_dir(job.id) + ")");
+      }
+      fabric_cv_.wait_for(lock, std::chrono::milliseconds(100));
+    }
+    first_grant = job.first_grant;
   }
 
-  // The coordinator only schedules; the workers streamed the records into
+  // The lease table only schedules; the workers streamed the records into
   // this job's spool. Fold them through the same resume + sequential
   // reduction a single-host run uses — byte-identical summary, and any
   // slot a worker somehow missed is executed locally right here.
+  const auto fold_start = Clock::now();
   const OutcomeMap outcomes = load_resume_outcomes(spool_records_dir(job.id), job.header);
   RunOptions run_options;
   run_options.threads = options_.threads;
   if (!outcomes.empty()) run_options.resume = &outcomes;
-  return options_.executor ? options_.executor(job.spec, run_options)
-                           : run(job.spec, run_options);
+  CampaignResult result = options_.executor ? options_.executor(job.spec, run_options)
+                                            : run(job.spec, run_options);
+  // The fold resumes every slot, so its own clock times only the fold.
+  result.wall_seconds =
+      std::chrono::duration<double>(Clock::now() - first_grant.value_or(fold_start)).count();
+  return result;
+}
+
+std::optional<FabricAnswer> Scheduler::fabric_refusal_locked(const std::string& id,
+                                                             const Job* job) const {
+  FabricAnswer answer;
+  if (job == nullptr) {
+    // Completed by an earlier daemon over this cache: nothing left to lease.
+    if (!artifact_path(id, "summary.json").empty()) {
+      answer.kind = FabricAnswer::Kind::kDrain;
+    } else {
+      answer.kind = FabricAnswer::Kind::kUnknownJob;
+      answer.message = "unknown campaign id '" + id + "'";
+    }
+  } else if (job->state == JobState::kDone) {
+    answer.kind = FabricAnswer::Kind::kDrain;
+  } else if (job->state == JobState::kFailed) {
+    answer.message = "campaign " + id + " failed: " + job->error;
+  } else if (!job->leases) {
+    answer.message = "campaign " + id + " is not fabric-dispatched";
+  } else {
+    return std::nullopt;
+  }
+  return answer;
+}
+
+FabricAnswer Scheduler::fabric_join(const std::string& id, const CampaignHeader& theirs) {
+  std::lock_guard lock(mutex_);
+  const auto it = jobs_.find(id);
+  const Job* job = it == jobs_.end() ? nullptr : it->second.get();
+  FabricAnswer answer;
+  if (job == nullptr) {
+    // A worker derives the id from its own spec, so a worker launched with
+    // different flags asks for an id nobody submitted: name the field it
+    // differs in from each job that is taking workers.
+    for (const auto& [other_id, other] : jobs_) {
+      if (!other->leases || other->state == JobState::kDone ||
+          other->state == JobState::kFailed) {
+        continue;
+      }
+      answer.message += (answer.message.empty() ? "" : "; ") + std::string("campaign ") +
+                        other_id + ": " + header_mismatch(other->header, theirs);
+    }
+    if (!answer.message.empty()) {
+      answer.message = "campaign spec mismatch: " + answer.message;
+      return answer;
+    }
+  }
+  if (auto refusal = fabric_refusal_locked(id, job)) return *refusal;
+  if (const std::string mismatch = header_mismatch(job->header, theirs); !mismatch.empty()) {
+    answer.message = "campaign spec mismatch: " + mismatch;  // A fingerprint collision.
+    return answer;
+  }
+  const double deadline = options_.fabric_deadline_seconds;
+  answer.kind = FabricAnswer::Kind::kJoined;
+  answer.worker = job->leases->connect(fabric::CoordinatorCore::Clock::now());
+  answer.deadline_s = deadline;
+  answer.heartbeat_s = deadline > 0.0 ? std::min(1.0, deadline / 4.0) : 1.0;
+  answer.records_dir = std::filesystem::absolute(spool_records_dir(id)).string();
+  return answer;
+}
+
+FabricAnswer Scheduler::fabric_lease(const std::string& id, int worker,
+                                     std::optional<std::uint64_t> done, bool heartbeat) {
+  std::lock_guard lock(mutex_);
+  const auto it = jobs_.find(id);
+  Job* job = it == jobs_.end() ? nullptr : it->second.get();
+  if (auto refusal = fabric_refusal_locked(id, job)) return *refusal;
+  fabric::CoordinatorCore& core = *job->leases;
+  const auto now = fabric::CoordinatorCore::Clock::now();
+  FabricAnswer answer;
+  // Even a worker declared dead meanwhile commits its report: the records
+  // are on disk (see fabric/lease.hpp).
+  if (done) {
+    core.complete(worker, *done, now);
+    fabric_cv_.notify_all();
+  }
+  if (!core.live(worker)) {
+    answer.message = "worker " + std::to_string(worker) + " is not live in campaign " + id +
+                     " (never joined, or silent past the deadline; its leases were requeued)";
+    return answer;
+  }
+  core.heartbeat(worker, now);
+  answer.kind = heartbeat ? FabricAnswer::Kind::kAlive : FabricAnswer::Kind::kWait;
+  if (job->leasing && !heartbeat) {
+    if (auto lease = core.grant(worker, now)) {
+      if (!job->first_grant) job->first_grant = now;
+      answer.kind = FabricAnswer::Kind::kGrant;
+      answer.lease = *lease;
+    } else if (core.done()) {
+      answer.kind = FabricAnswer::Kind::kDrain;
+    }
+  }
+  return answer;
+}
+
+void Scheduler::publish_fabric_gauges(const fabric::CoordinatorCore& core) const {
+  if (options_.registry == nullptr) return;
+  const fabric::CoordinatorCore::Stats& stats = core.stats();
+  telemetry::Registry& registry = *options_.registry;
+  registry.set("fabric.trials_total", static_cast<double>(core.total()));
+  registry.set("fabric.trials_committed", static_cast<double>(core.committed()));
+  registry.set("fabric.live_workers", static_cast<double>(core.live_workers()));
+  registry.set("fabric.pending_leases", static_cast<double>(core.pending()));
+  registry.set("fabric.outstanding_leases", static_cast<double>(core.outstanding()));
+  registry.set("fabric.workers_seen", static_cast<double>(stats.workers_seen));
+  registry.set("fabric.workers_dead", static_cast<double>(stats.workers_dead));
+  registry.set("fabric.leases_granted", static_cast<double>(stats.leases_granted));
+  registry.set("fabric.leases_completed", static_cast<double>(stats.leases_completed));
+  registry.set("fabric.leases_requeued", static_cast<double>(stats.leases_requeued));
+  registry.set("fabric.late_completions", static_cast<double>(stats.late_completions));
+  registry.set("fabric.duplicate_trials", static_cast<double>(stats.duplicate_trials));
 }
 
 void Scheduler::store_entry(const Job& job, const CampaignResult& result) {

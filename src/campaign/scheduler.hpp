@@ -31,6 +31,7 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/trial_record.hpp"
+#include "fabric/lease.hpp"
 
 #include <condition_variable>
 #include <cstddef>
@@ -58,9 +59,9 @@ namespace netcons::campaign {
 /// it hashes the canonical serialized fingerprint, not object layout.
 [[nodiscard]] std::string spec_fingerprint(const CampaignHeader& header);
 
-/// Where a job runs: on this process's thread pool, or as an embedded
-/// fabric coordinator handing leases to external netcons_worker processes
-/// (which must write records into the job's spool directory).
+/// Where a job runs: on this process's thread pool, or as trial-range
+/// leases handed to external netcons_worker processes over the daemon's
+/// own HTTP surface (the workers write records into the job's spool).
 enum class JobDispatch { kLocal, kFabric };
 [[nodiscard]] std::string_view job_dispatch_name(JobDispatch dispatch) noexcept;
 
@@ -79,14 +80,34 @@ struct JobStatus {
   std::uint64_t trials_done = 0;
   double trials_per_sec = 0.0;
   double eta_s = 0.0;
-  double wall_seconds = 0.0;  ///< Execution wall time once done (else 0).
-  /// Fabric-dispatched and currently serving leases: the coordinator's
-  /// TCP port workers should connect to. -1 otherwise.
-  int fabric_port = -1;
-  /// While queued/running: the spool directory fabric workers must stream
-  /// records into (--records). Empty once the job completed.
+  /// Execution wall time once done (else 0). Fabric jobs: from the first
+  /// lease granted to the end of the spool fold.
+  double wall_seconds = 0.0;
+  /// While queued/running: the spool directory fabric workers stream
+  /// records into. Empty once the job completed.
   std::string records_dir;
   std::string error;  ///< what() of the failure when state == kFailed.
+};
+
+/// The answer to one fabric worker call (Scheduler::fabric_join,
+/// fabric_lease).
+struct FabricAnswer {
+  enum class Kind {
+    kJoined,      ///< join accepted: worker, heartbeat_s, deadline_s, records_dir.
+    kGrant,       ///< lease: execute `lease`, then report it done.
+    kWait,        ///< lease: everything is leased out; ask again later.
+    kDrain,       ///< every trial is committed: exit cleanly.
+    kAlive,       ///< heartbeat accepted.
+    kUnknownJob,  ///< no such job (message says why).
+    kRefused,     ///< spec mismatch, failed job, dead worker (message says why).
+  };
+  Kind kind = Kind::kRefused;
+  std::string message;
+  int worker = 0;
+  double heartbeat_s = 0.0;
+  double deadline_s = 0.0;
+  std::string records_dir;
+  fabric::Lease lease;
 };
 
 class Scheduler {
@@ -105,13 +126,13 @@ class Scheduler {
     /// least-recently-hit first (0: unbounded). Hits refresh an entry.
     std::size_t cache_max_entries = 0;
     double heartbeat_period_seconds = 0.5;
-    // Fabric dispatch (JobDispatch::kFabric): the embedded coordinator's
-    // bind host and scheduling knobs (see fabric::CoordinatorOptions).
-    std::string fabric_host = "127.0.0.1";
+    // Fabric dispatch (JobDispatch::kFabric): trials per lease, and the
+    // silence after which a worker is declared dead and its leases requeue
+    // (see fabric::CoreOptions).
     int fabric_lease_size = 32;
     double fabric_deadline_seconds = 10.0;
-    /// Give up on a fabric job with work remaining but no connected
-    /// workers for this long (0: wait forever).
+    /// Give up on a fabric job with work remaining but no live worker for
+    /// this long (0: wait forever).
     double fabric_max_idle_seconds = 600.0;
     /// scheduler.* counters published here (not owned; may be null).
     telemetry::Registry* registry = nullptr;
@@ -140,9 +161,9 @@ class Scheduler {
   /// std::runtime_error on an empty cache_dir or unusable directory.
   explicit Scheduler(Options options);
 
-  /// Drains nothing: the running jobs finish, still-queued jobs are
-  /// abandoned (their spools persist for a future resume), then workers
-  /// join. Observers of abandoned jobs never fire.
+  /// Drains nothing: running local jobs finish, a running fabric job and
+  /// still-queued jobs are abandoned (their spools persist for a future
+  /// resume), then workers join. Observers of queued jobs never fire.
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -166,6 +187,16 @@ class Scheduler {
   /// unknown).
   [[nodiscard]] std::string artifact_path(const std::string& id, std::string_view name) const;
 
+  /// Fabric worker calls for the JobDispatch::kFabric job `id` (the lease
+  /// endpoints of docs/serving-api.md). join registers a worker launched
+  /// with the spec whose header is `theirs`; lease reports the worker's
+  /// finished lease (`done`, if any) and asks for the next, or with
+  /// `heartbeat` only proves the worker alive mid-lease. A job that is
+  /// already done answers kDrain.
+  FabricAnswer fabric_join(const std::string& id, const CampaignHeader& theirs);
+  FabricAnswer fabric_lease(const std::string& id, int worker,
+                            std::optional<std::uint64_t> done, bool heartbeat = false);
+
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
  private:
@@ -175,6 +206,12 @@ class Scheduler {
   void execute(Job& job);
   void run_job(Job& job);
   [[nodiscard]] CampaignResult run_fabric(Job& job, const OutcomeMap& resume);
+  void enqueue_locked(const std::shared_ptr<Job>& job, JobDispatch dispatch, Observer observer);
+  /// The job's answer when it cannot take fabric calls: nullopt while it
+  /// holds a lease table and is queued or running.
+  [[nodiscard]] std::optional<FabricAnswer> fabric_refusal_locked(const std::string& id,
+                                                                 const Job* job) const;
+  void publish_fabric_gauges(const fabric::CoordinatorCore& core) const;
   void store_entry(const Job& job, const CampaignResult& result);
   void evict();
   void count(std::string_view name) const;
@@ -191,6 +228,7 @@ class Scheduler {
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
+  std::condition_variable fabric_cv_;  ///< Wakes run_fabric: a lease completed, or stopping_.
   std::map<std::string, std::shared_ptr<Job>> jobs_;
   std::deque<std::shared_ptr<Job>> queue_;
   bool stopping_ = false;

@@ -1,10 +1,10 @@
-// Shared campaign-spec CLI vocabulary: every tool that declares a campaign
-// grid from flags (netcons_campaign, netcons_coord, netcons_worker) parses
-// the same --protocols/--processes/--ns/... flag set through this one
-// implementation. That sameness is load-bearing for the fabric: the
-// coordinator and its workers independently build CampaignSpec from their
-// command lines, and the fingerprint handshake (hello / header_mismatch)
-// only ever compares what these functions produced.
+// Shared campaign-spec CLI vocabulary: every surface that declares a
+// campaign grid (netcons_campaign, netcons_worker, and the netcons_serve
+// submission document) parses the same --protocols/--processes/--ns/...
+// vocabulary through this one implementation. That sameness is
+// load-bearing for the fabric: the daemon and its workers independently
+// build CampaignSpec, and the join check (header_mismatch) only ever
+// compares what these functions produced.
 #pragma once
 
 #include "campaign/campaign.hpp"

@@ -157,12 +157,12 @@ struct LoadedRecords {
 void load_records(const std::string& path, LoadedRecords& into);
 
 /// The one resume-preload path shared by every surface that restarts a
-/// campaign from its record directory (netcons_campaign --resume,
-/// netcons_coord --resume, the serve-layer Scheduler): scan `dir` validated
-/// against `header` — a spec mismatch is a hard error naming the differing
-/// field, never a silent reuse of a different campaign's trials — and
-/// return the last-wins outcome map. A missing directory resumes nothing
-/// (empty map), so first runs and restarts share one call site.
+/// campaign from its record directory (netcons_campaign --resume, the
+/// serve-layer Scheduler): scan `dir` validated against `header` — a spec
+/// mismatch is a hard error naming the differing field, never a silent
+/// reuse of a different campaign's trials — and return the last-wins
+/// outcome map. A missing directory resumes nothing (empty map), so first
+/// runs and restarts share one call site.
 [[nodiscard]] OutcomeMap load_resume_outcomes(const std::string& dir,
                                               const CampaignHeader& header);
 

@@ -30,16 +30,14 @@ int CoordinatorCore::connect(Clock::time_point now) {
   return id;
 }
 
-void CoordinatorCore::disconnect(int worker) {
-  const auto it = workers_.find(worker);
-  if (it == workers_.end() || !it->second.alive) return;
-  it->second.alive = false;
-  requeue_worker_leases(worker);
-}
-
 void CoordinatorCore::heartbeat(int worker, Clock::time_point now) {
   const auto it = workers_.find(worker);
   if (it != workers_.end() && it->second.alive) it->second.last_seen = now;
+}
+
+bool CoordinatorCore::live(int worker) const {
+  const auto it = workers_.find(worker);
+  return it != workers_.end() && it->second.alive;
 }
 
 void CoordinatorCore::seed_pending() {

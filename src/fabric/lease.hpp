@@ -1,5 +1,7 @@
-// The coordinator's lease bookkeeping, socket-free so tests can drive the
+// The fabric's lease bookkeeping, transport-free so tests can drive the
 // full grant/expiry/reassignment state machine directly with a fake clock.
+// The serve-layer Scheduler owns one per fabric-dispatched job and answers
+// the workers' HTTP lease calls from it (docs/serving-api.md).
 //
 // The campaign grid is (points x trials) slots, exactly the slot space of
 // campaign::run. Work is handed out as *leases*: a contiguous trial range
@@ -65,15 +67,14 @@ class CoordinatorCore {
   /// ignored, like RunOptions::resume does.
   void precommit(std::size_t point, int trial);
 
-  /// Register a connection; returns the worker id (>= 1, never reused).
+  /// Register a worker; returns its id (>= 1, never reused).
   [[nodiscard]] int connect(Clock::time_point now);
-
-  /// Clean or unclean connection loss: requeue the worker's outstanding
-  /// leases. Idempotent; unknown ids are ignored.
-  void disconnect(int worker);
 
   /// Any inbound message refreshes the worker's liveness.
   void heartbeat(int worker, Clock::time_point now);
+
+  /// Joined and not (yet) declared dead by expire().
+  [[nodiscard]] bool live(int worker) const;
 
   /// Grant the next lease: requeued ranges first, then fresh ones, in grid
   /// order. nullopt when nothing is pending — either every slot is
@@ -99,7 +100,7 @@ class CoordinatorCore {
   struct Stats {
     std::uint64_t leases_granted = 0;
     std::uint64_t leases_completed = 0;   ///< Completions that committed >= 1 slot.
-    std::uint64_t leases_requeued = 0;    ///< Ranges sent back by death/disconnect.
+    std::uint64_t leases_requeued = 0;    ///< Ranges sent back by worker death.
     std::uint64_t late_completions = 0;   ///< Done for a lease no longer outstanding.
     std::uint64_t duplicate_trials = 0;   ///< Slots re-executed but already committed.
     std::uint64_t workers_seen = 0;

@@ -1,56 +1,25 @@
 #include "fabric/worker.hpp"
 
+#include "campaign/json.hpp"
+#include "campaign/scheduler.hpp"
 #include "campaign/trial_record.hpp"
-#include "fabric/frame.hpp"
-#include "fabric/messages.hpp"
-#include "telemetry/heartbeat.hpp"
+#include "serve/http.hpp"
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
-#include <functional>
 #include <mutex>
-#include <ostream>
+#include <optional>
 #include <stdexcept>
-#include <streambuf>
+#include <stop_token>
 #include <thread>
-#include <utility>
 
 namespace netcons::fabric {
 
 namespace {
 
-/// streambuf that hands complete lines (without the newline) to a
-/// callback: the bridge between CampaignMonitor's heartbeat ostream and
-/// heartbeat frames. The monitor writes one whole line per emit and
-/// flushes, so buffering until '\n' never holds a partial heartbeat long.
-class LineForwardBuf : public std::streambuf {
- public:
-  explicit LineForwardBuf(std::function<void(const std::string&)> on_line)
-      : on_line_(std::move(on_line)) {}
-
- protected:
-  int overflow(int ch) override {
-    if (ch != traits_type::eof()) {
-      if (ch == '\n') {
-        on_line_(line_);
-        line_.clear();
-      } else {
-        line_.push_back(static_cast<char>(ch));
-      }
-    }
-    return ch;
-  }
-
-  std::streamsize xsputn(const char* data, std::streamsize size) override {
-    for (std::streamsize i = 0; i < size; ++i) overflow(data[i]);
-    return size;
-  }
-
- private:
-  std::function<void(const std::string&)> on_line_;
-  std::string line_;
-};
+namespace json = campaign::json;
 
 std::string worker_record_path(const std::string& dir, int worker) {
   char name[64];
@@ -61,108 +30,105 @@ std::string worker_record_path(const std::string& dir, int worker) {
   }
 }
 
-Message read_message(int fd, std::string& scratch) {
-  switch (read_frame(fd, scratch)) {
-    case ReadResult::kFrame: return Message::decode(scratch);
-    case ReadResult::kEof: throw std::runtime_error("fabric: coordinator closed the connection");
-    case ReadResult::kError: break;
+/// POST one worker call and return the reply object; a non-200 answer
+/// throws with the daemon's error message.
+json::Value call(const WorkerOptions& options, const std::string& target,
+                 const std::string& body) {
+  const serve::FetchResult reply = serve::http_fetch(
+      options.host, options.port, "POST", target, body, options.io_timeout_seconds, options.token);
+  if (reply.status != 200) {
+    std::string reason = reply.body;
+    try {
+      const json::Value envelope = json::parse(reply.body);
+      reason = json::field(json::field(envelope.as_object(), "error").as_object(), "message")
+                   .as_string();
+    } catch (const std::exception&) {
+      // Not an envelope: report the raw body.
+    }
+    throw std::runtime_error("fabric: " + target + " answered " + std::to_string(reply.status) +
+                             ": " + reason);
   }
-  throw std::runtime_error("fabric: lost the coordinator (read error or timeout)");
+  return json::parse(reply.body);
+}
+
+int int_field(const json::Object& object, const std::string& key) {
+  return static_cast<int>(json::field(object, key).as_u64());
 }
 
 }  // namespace
 
 WorkerSummary run_worker(const campaign::CampaignSpec& spec, const WorkerOptions& options) {
   const campaign::CampaignHeader header = campaign::CampaignHeader::describe(spec);
-  const int threads = campaign::resolve_threads(options.threads);
-
-  Socket socket = connect_to(options.host, options.port, options.io_timeout_seconds);
-  // One frame writer for both the main loop and the monitor's ticker
-  // thread; frames must not interleave mid-frame.
-  std::mutex write_mutex;
-  const auto send = [&](const Message& message) {
-    const std::lock_guard<std::mutex> lock(write_mutex);
-    if (!write_frame(socket.fd(), message.encode())) {
-      throw std::runtime_error("fabric: lost the coordinator (write failed)");
-    }
-  };
-
-  send(Message::hello(campaign::header_line(header), threads, options.token));
-  std::string scratch;
-  const Message welcome = read_message(socket.fd(), scratch);
-  if (welcome.type == Message::Type::kError) {
-    throw std::runtime_error("fabric: coordinator refused: " + welcome.text);
-  }
-  if (welcome.type != Message::Type::kWelcome) {
-    throw std::runtime_error(std::string("fabric: expected welcome, got ") +
-                             type_name(welcome.type));
-  }
+  const std::string base = "/v1/campaigns/" + campaign::spec_fingerprint(header);
 
   WorkerSummary summary;
-  summary.worker = welcome.worker;
+  const json::Value joined = call(options, base + "/join", campaign::header_line(header));
+  const json::Object& join = joined.as_object();
+  if (json::field(join, "action").as_string() == "drain") {
+    summary.drained = true;  // The campaign was already complete.
+    return summary;
+  }
+  summary.worker = int_field(join, "worker");
+  const std::string worker_body = "{\"worker\": " + std::to_string(summary.worker);
   const auto log = [&](const std::string& line) {
-    if (!options.quiet) {
-      std::fprintf(stderr, "[worker %d] %s\n", summary.worker, line.c_str());
-    }
+    if (!options.quiet) std::fprintf(stderr, "[worker %d] %s\n", summary.worker, line.c_str());
   };
 
-  std::filesystem::create_directories(options.records_dir);
-  campaign::TrialRecordSink sink(worker_record_path(options.records_dir, summary.worker),
-                                 header);
+  const std::string& records_dir = json::field(join, "records_dir").as_string();
+  std::filesystem::create_directories(records_dir);
+  campaign::TrialRecordSink sink(worker_record_path(records_dir, summary.worker), header);
 
-  // Heartbeats ride the ticker thread; a write failure there must not tear
-  // down the ostream (the main loop will hit the dead socket itself), so
-  // forwarding swallows errors.
-  LineForwardBuf heartbeat_buffer([&](const std::string& line) {
-    const std::lock_guard<std::mutex> lock(write_mutex);
-    (void)write_frame(socket.fd(), Message::heartbeat(line).encode());
-  });
-  std::ostream heartbeat_stream(&heartbeat_buffer);
-  telemetry::CampaignMonitor monitor({.period_seconds = welcome.period_s,
-                                      .heartbeat = &heartbeat_stream,
-                                      .progress_stderr = false,
-                                      .registry = nullptr});
-
-  while (true) {
-    send(Message::request());
-    const Message reply = read_message(socket.fd(), scratch);
-    switch (reply.type) {
-      case Message::Type::kGrant: {
-        const std::size_t point = reply.point;
-        const int begin = reply.begin;
-        const int end = reply.end;
-        campaign::RunOptions run_options;
-        run_options.threads = options.threads;
-        run_options.select = [point, begin, end](std::size_t p, int t) {
-          return p == point && t >= begin && t < end;
-        };
-        run_options.on_trial = [&sink](std::size_t p, int t, std::uint64_t seed,
-                                       const campaign::TrialOutcome& outcome) {
-          sink.write(campaign::TrialRecord{p, t, seed, outcome});
-        };
-        run_options.monitor = &monitor;
-        const campaign::CampaignResult result = campaign::run(spec, run_options);
-        summary.executed_trials += result.executed_trials;
-        ++summary.leases;
-        send(Message::done(reply.lease, result.executed_trials));
-        log("lease " + std::to_string(reply.lease) + ": point " + std::to_string(point) +
-            " trials [" + std::to_string(begin) + ", " + std::to_string(end) + ")");
-        break;
+  // A failed heartbeat is not fatal here: the next lease call meets a
+  // vanished daemon itself.
+  const std::chrono::duration<double> period(json::field(join, "heartbeat_s").as_double());
+  std::jthread ticker([&](std::stop_token stop) {
+    std::mutex mutex;
+    std::condition_variable_any wake;
+    std::unique_lock lock(mutex);
+    while (!wake.wait_for(lock, stop, period, [&] { return stop.stop_requested(); })) {
+      try {
+        (void)call(options, base + "/heartbeat", worker_body + "}");
+      } catch (const std::exception&) {
       }
-      case Message::Type::kWait:
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            reply.retry_ms > 0 ? reply.retry_ms : 250));
-        break;
-      case Message::Type::kDrain:
-        summary.drained = true;
-        log("drained after " + std::to_string(summary.leases) + " leases, " +
-            std::to_string(summary.executed_trials) + " trials");
-        return summary;
-      case Message::Type::kError:
-        throw std::runtime_error("fabric: coordinator error: " + reply.text);
-      default:
-        throw std::runtime_error(std::string("fabric: unexpected ") + type_name(reply.type) +
-                                 " from the coordinator");
+    }
+  });
+
+  std::optional<std::uint64_t> done;
+  for (;;) {
+    const json::Value reply = call(
+        options, base + "/lease",
+        worker_body + (done ? ", \"done\": " + std::to_string(*done) : std::string()) + "}");
+    const json::Object& answer = reply.as_object();
+    const std::string& action = json::field(answer, "action").as_string();
+    done.reset();
+    if (action == "grant") {
+      const std::size_t point = json::field(answer, "point").as_u64();
+      const int begin = int_field(answer, "begin");
+      const int end = int_field(answer, "end");
+      campaign::RunOptions run_options;
+      run_options.threads = options.threads;
+      run_options.select = [point, begin, end](std::size_t p, int t) {
+        return p == point && t >= begin && t < end;
+      };
+      run_options.on_trial = [&sink](std::size_t p, int t, std::uint64_t seed,
+                                     const campaign::TrialOutcome& outcome) {
+        sink.write(campaign::TrialRecord{p, t, seed, outcome});
+      };
+      const campaign::CampaignResult result = campaign::run(spec, run_options);
+      summary.executed_trials += result.executed_trials;
+      ++summary.leases;
+      done = json::field(answer, "lease").as_u64();
+      log("lease " + std::to_string(*done) + ": point " + std::to_string(point) + " trials [" +
+          std::to_string(begin) + ", " + std::to_string(end) + ")");
+    } else if (action == "wait") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(int_field(answer, "retry_ms")));
+    } else if (action == "drain") {
+      summary.drained = true;
+      log("drained after " + std::to_string(summary.leases) + " leases, " +
+          std::to_string(summary.executed_trials) + " trials");
+      return summary;
+    } else {
+      throw std::runtime_error("fabric: unexpected lease answer '" + action + "'");
     }
   }
 }

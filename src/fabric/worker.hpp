@@ -1,21 +1,21 @@
-// The fabric worker: connects to a coordinator, proves it was launched
-// with the same campaign spec (hello carries the netcons-trials-v2 header
-// line; the coordinator diffs fingerprints), then loops request → grant →
-// execute → done until the coordinator answers drain.
+// The fabric worker: an HTTP client of netcons_serve. It derives the job
+// id from its own spec (spec_fingerprint), joins the daemon's
+// "dispatch": "fabric" job with its netcons-trials-v2 header line (the
+// daemon diffs it against the job's and refuses a mismatch, naming the
+// field), then loops lease → execute → report done with the next lease
+// call until the daemon answers drain. Wire spec: docs/serving-api.md.
 //
 // Each granted lease executes as one campaign::run invocation with
 // RunOptions::select restricted to the leased trial range, so engines,
 // fault plans, schedulers, per-trial seeds, and telemetry flow through the
 // exact single-host code path — the fabric adds scheduling, never
-// semantics. Outcomes stream to a per-worker record file in the shared
-// records directory (fabric-wNNNN-gNNNN.jsonl); netcons_merge folds any
-// set of worker files into the byte-identical single-host summary.
+// semantics. Outcomes stream to a per-worker record file
+// (fabric-wNNNN-gNNNN.jsonl) in the job's spool directory, which the join
+// reply names; the worker must share that filesystem with the daemon.
 //
-// Liveness: one long-lived CampaignMonitor watches every run; its
-// netcons-heartbeat-v1 lines are forwarded verbatim as heartbeat frames
-// from the monitor's ticker thread (socket writes are mutex-serialized
-// against the request/done traffic). Between leases the request traffic
-// itself is the liveness signal.
+// Liveness: a ticker thread POSTs a heartbeat at the cadence the join
+// reply set, so a lease that runs longer than the deadline never looks
+// like a death.
 #pragma once
 
 #include "campaign/campaign.hpp"
@@ -27,30 +27,27 @@ namespace netcons::fabric {
 
 struct WorkerOptions {
   std::string host = "127.0.0.1";
-  int port = 0;
-  /// Directory shared (or later collected) with every other worker's
-  /// records; this worker writes fabric-wNNNN-gNNNN.jsonl into it.
-  std::string records_dir;
+  int port = 0;     ///< The netcons_serve daemon's HTTP port.
   int threads = 0;  ///< 0: hardware concurrency.
-  /// Socket I/O timeout: a coordinator silent this long is treated as
+  /// Socket I/O timeout per call: a daemon silent this long is treated as
   /// dead and the worker exits with an error (0: block forever).
   double io_timeout_seconds = 30.0;
-  /// Shared secret carried in the hello frame; must equal the
-  /// coordinator's --token (empty on both sides disables auth).
+  /// Sent as "Authorization: Bearer <token>" when non-empty; must match
+  /// the daemon's --token.
   std::string token;
   bool quiet = false;  ///< Suppress per-lease progress lines on stderr.
 };
 
 struct WorkerSummary {
-  int worker = 0;  ///< Coordinator-assigned id.
+  int worker = 0;  ///< Daemon-assigned id (0 when the job was already done).
   std::uint64_t leases = 0;
   std::uint64_t executed_trials = 0;
   bool drained = false;  ///< True: clean drain; false never returns (throws).
 };
 
 /// Run the worker loop to completion. Throws std::runtime_error on
-/// connection failure, a coordinator error reply (e.g. spec mismatch), or
-/// a coordinator that vanished mid-campaign.
+/// connection failure, a daemon refusal (unknown job, spec mismatch, a
+/// failed job, this worker declared dead), or a daemon that vanished.
 [[nodiscard]] WorkerSummary run_worker(const campaign::CampaignSpec& spec,
                                        const WorkerOptions& options);
 

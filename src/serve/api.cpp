@@ -2,6 +2,7 @@
 
 #include "campaign/json.hpp"
 #include "campaign/spec_cli.hpp"
+#include "campaign/trial_record.hpp"
 #include "telemetry/metrics.hpp"
 
 #include <climits>
@@ -119,22 +120,40 @@ std::optional<campaign::CampaignSpec> build_spec_captured(const campaign::SpecCl
 
 constexpr std::string_view kCampaignsPrefix = "/v1/campaigns";
 
-}  // namespace
-
-HttpResponse error_response(int status, const std::string& message) {
-  std::string body =
-      "{\"schema\": \"netcons-serve-v1\", \"error\": {\"status\": " + std::to_string(status) +
-      ", \"message\": ";
-  json::append_escaped(body, message);
-  body += "}}\n";
+HttpResponse fabric_response(const campaign::FabricAnswer& answer) {
+  using Kind = campaign::FabricAnswer::Kind;
+  if (answer.kind == Kind::kUnknownJob) return error_response(404, answer.message);
+  if (answer.kind == Kind::kRefused) return error_response(409, answer.message);
+  std::string body = "{\"schema\": \"netcons-serve-v2\", \"action\": ";
+  switch (answer.kind) {
+    case Kind::kJoined:
+      body += "\"joined\", \"worker\": " + std::to_string(answer.worker) + ", \"heartbeat_s\": ";
+      json::append_double(body, answer.heartbeat_s);
+      body += ", \"deadline_s\": ";
+      json::append_double(body, answer.deadline_s);
+      body += ", \"records_dir\": ";
+      json::append_escaped(body, answer.records_dir);
+      break;
+    case Kind::kGrant:
+      body += "\"grant\", \"lease\": " + std::to_string(answer.lease.id) +
+              ", \"point\": " + std::to_string(answer.lease.range.point) +
+              ", \"begin\": " + std::to_string(answer.lease.range.begin) +
+              ", \"end\": " + std::to_string(answer.lease.range.end);
+      break;
+    case Kind::kWait: body += "\"wait\", \"retry_ms\": 250"; break;
+    case Kind::kDrain: body += "\"drain\""; break;
+    default: body += "\"alive\""; break;
+  }
+  body += "}\n";
   HttpResponse response;
-  response.status = status;
   response.body = std::move(body);
   return response;
 }
 
+}  // namespace
+
 std::string status_json(const campaign::JobStatus& status) {
-  std::string body = "{\"schema\": \"netcons-serve-v1\", \"id\": ";
+  std::string body = "{\"schema\": \"netcons-serve-v2\", \"id\": ";
   json::append_escaped(body, status.id);
   body += ", \"state\": ";
   json::append_escaped(body, std::string(campaign::job_state_name(status.state)));
@@ -148,7 +167,6 @@ std::string status_json(const campaign::JobStatus& status) {
   json::append_double(body, status.eta_s);
   body += ", \"wall_seconds\": ";
   json::append_double(body, status.wall_seconds);
-  body += ", \"fabric_port\": " + std::to_string(status.fabric_port);
   body += ", \"records_dir\": ";
   json::append_escaped(body, status.records_dir);
   body += ", \"error\": ";
@@ -188,10 +206,14 @@ HttpResponse Api::handle(const HttpRequest& request) {
       const std::size_t slash = rest.find('/');
       const std::string id = rest.substr(0, slash);
       const std::string name = slash == std::string::npos ? std::string() : rest.substr(slash + 1);
-      if (request.method != "GET") {
-        response = error_response(405, "campaign resources are read-only (GET)");
-      } else if (id.empty()) {
+      const bool worker_call = name == "join" || name == "lease" || name == "heartbeat";
+      if (id.empty()) {
         response = error_response(404, "missing campaign id");
+      } else if (request.method != (worker_call ? "POST" : "GET")) {
+        response = error_response(405, worker_call ? "use POST for fabric worker calls"
+                                                   : "campaign resources are read-only (GET)");
+      } else if (worker_call) {
+        response = fabric(id, name, request.body);
       } else if (name.empty()) {
         response = status(id);
       } else {
@@ -229,7 +251,7 @@ HttpResponse Api::submit(const HttpRequest& request) {
   campaign::JobStatus job_status;
   if (polled) job_status = *polled;
 
-  std::string body = "{\"schema\": \"netcons-serve-v1\", \"id\": ";
+  std::string body = "{\"schema\": \"netcons-serve-v2\", \"id\": ";
   json::append_escaped(body, submitted.id);
   body += ", \"state\": ";
   json::append_escaped(body, std::string(campaign::job_state_name(job_status.state)));
@@ -245,6 +267,30 @@ HttpResponse Api::submit(const HttpRequest& request) {
   response.status = submitted.cached ? 200 : 202;
   response.body = std::move(body);
   return response;
+}
+
+HttpResponse Api::fabric(const std::string& id, const std::string& call,
+                         const std::string& body) {
+  campaign::CampaignHeader theirs;
+  int worker = 0;
+  std::optional<std::uint64_t> done;
+  try {
+    if (call == "join") {
+      // The body is the worker's netcons-trials-v2 header line, verbatim.
+      theirs = campaign::parse_header_line(body);
+    } else {
+      // {"worker": N}, optionally with "done": L, the lease it just finished.
+      const json::Value document = json::parse(body);
+      const json::Object& fields = document.as_object();
+      worker = small_int(json::field(fields, "worker"), "worker");
+      if (const auto it = fields.find("done"); it != fields.end()) done = it->second.as_u64();
+    }
+  } catch (const std::exception& error) {
+    return error_response(400, "bad " + call + " document: " + error.what());
+  }
+  return fabric_response(call == "join"
+                             ? scheduler_.fabric_join(id, theirs)
+                             : scheduler_.fabric_lease(id, worker, done, call == "heartbeat"));
 }
 
 HttpResponse Api::status(const std::string& id) {

@@ -1,12 +1,12 @@
-// The netcons-serve-v1 HTTP API surface: request routing, the JSON spec
-// body -> CampaignSpec translation, status/error envelopes, and artifact
-// streaming — everything between the HTTP server and the campaign
-// Scheduler. One implementation, three drivers: tools/netcons_serve.cpp
-// (the daemon), bench_serve_throughput (in-process load generator), and
-// the unit tests.
+// The netcons-serve-v2 HTTP API surface: request routing, the JSON spec
+// body -> CampaignSpec translation, status/error envelopes, artifact
+// streaming, and the fabric workers' join/lease/heartbeat calls —
+// everything between the HTTP server and the campaign Scheduler. One
+// implementation, three drivers: tools/netcons_serve.cpp (the daemon),
+// bench_serve_throughput (in-process load generator), and the unit tests.
 //
 // Wire spec: docs/serving-api.md. Every response body carries
-// "schema": "netcons-serve-v1" (artifact downloads carry their own
+// "schema": "netcons-serve-v2" (artifact downloads carry their own
 // schemas: netcons-campaign-v3, netcons-trials-v2, netcons-report-v1,
 // netcons-metrics-v1).
 #pragma once
@@ -32,7 +32,7 @@ class Api {
   Api(campaign::Scheduler& scheduler, telemetry::Registry& registry, std::string token = {});
 
   /// Route one request. Thread-safe (called from HTTP worker threads);
-  /// never throws — every failure becomes a netcons-serve-v1 error
+  /// never throws — every failure becomes a netcons-serve-v2 error
   /// envelope. Publishes serve.requests / serve.errors counters.
   [[nodiscard]] HttpResponse handle(const HttpRequest& request);
 
@@ -40,6 +40,8 @@ class Api {
   [[nodiscard]] HttpResponse submit(const HttpRequest& request);
   [[nodiscard]] HttpResponse status(const std::string& id);
   [[nodiscard]] HttpResponse artifact(const std::string& id, const std::string& name);
+  [[nodiscard]] HttpResponse fabric(const std::string& id, const std::string& call,
+                                    const std::string& body);
   [[nodiscard]] HttpResponse metrics();
 
   [[nodiscard]] bool authorized(const HttpRequest& request) const;
@@ -49,11 +51,7 @@ class Api {
   std::string token_;
 };
 
-/// The netcons-serve-v1 error envelope:
-///   {"schema": "netcons-serve-v1", "error": {"status": N, "message": "..."}}
-[[nodiscard]] HttpResponse error_response(int status, const std::string& message);
-
-/// The netcons-serve-v1 status document for one job poll.
+/// The netcons-serve-v2 status document for one job poll.
 [[nodiscard]] std::string status_json(const campaign::JobStatus& status);
 
 }  // namespace netcons::serve

@@ -1,5 +1,9 @@
 #include "serve/http.hpp"
 
+#include "campaign/json.hpp"
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -10,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -19,9 +24,45 @@ namespace {
 
 constexpr std::size_t kStreamChunk = 64u * 1024u;
 
+std::string errno_text(const char* what) {
+  return std::string(what) + ": " + std::strerror(errno);
+}
+
+sockaddr_in resolve(const std::string& host, int port) {
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::inet_pton(AF_INET, host.c_str(), &address.sin_addr) != 1) {
+    throw std::runtime_error("serve: not an IPv4 address: '" + host + "'");
+  }
+  return address;
+}
+
+/// Listening IPv4 socket on `host:port` (port 0: kernel-assigned).
+Socket listen_on(const std::string& host, int port) {
+  Socket socket(::socket(AF_INET, SOCK_STREAM, 0));
+  if (!socket.valid()) throw std::runtime_error(errno_text("serve: socket"));
+  const int enable = 1;
+  ::setsockopt(socket.fd(), SOL_SOCKET, SO_REUSEADDR, &enable, sizeof enable);
+  const sockaddr_in address = resolve(host, port);
+  if (::bind(socket.fd(), reinterpret_cast<const sockaddr*>(&address), sizeof address) != 0) {
+    throw std::runtime_error(errno_text("serve: bind"));
+  }
+  if (::listen(socket.fd(), 64) != 0) throw std::runtime_error(errno_text("serve: listen"));
+  return socket;
+}
+
+/// The port a bound socket actually listens on.
+int local_port(const Socket& socket) {
+  sockaddr_in address{};
+  socklen_t size = sizeof address;
+  if (::getsockname(socket.fd(), reinterpret_cast<sockaddr*>(&address), &size) != 0) {
+    throw std::runtime_error(errno_text("serve: getsockname"));
+  }
+  return static_cast<int>(ntohs(address.sin_port));
+}
+
 /// Write all of `data`, restarting on EINTR; false once the peer is gone.
-/// (fabric/frame.cpp keeps its twin file-local, deliberately: the framed
-/// protocol and the byte-stream protocol own their I/O loops.)
 bool send_all(int fd, const char* data, std::size_t size) {
   while (size > 0) {
     // MSG_NOSIGNAL: a vanished client must surface as EPIPE, not SIGPIPE.
@@ -80,11 +121,9 @@ bool write_response(int fd, HttpResponse response, bool close_connection) {
     if (!file || ec) {
       // The artifact vanished between the handler's check and the stream
       // (an eviction race): headers are not out yet, so say so honestly.
-      response = HttpResponse{404, "application/json",
-                              "{\"error\": {\"status\": 404, \"message\": "
-                              "\"artifact disappeared before it could be streamed\"}}\n",
-                              {}, response.close};
-      return write_response(fd, std::move(response), close_connection);
+      return write_response(
+          fd, error_response(404, "artifact disappeared before it could be streamed"),
+          close_connection);
     }
     const std::string head =
         response_head(response, static_cast<std::size_t>(size), close_connection);
@@ -108,6 +147,44 @@ bool write_response(int fd, HttpResponse response, bool close_connection) {
 }
 
 }  // namespace
+
+Socket& Socket::operator=(Socket&& other) noexcept {
+  if (this != &other) {
+    close();
+    fd_ = other.fd_;
+    other.fd_ = -1;
+  }
+  return *this;
+}
+
+void Socket::close() noexcept {
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+}
+
+Socket connect_to(const std::string& host, int port, double io_timeout_seconds) {
+  Socket socket(::socket(AF_INET, SOCK_STREAM, 0));
+  if (!socket.valid()) throw std::runtime_error(errno_text("serve: socket"));
+  set_io_timeout(socket.fd(), io_timeout_seconds);
+  const sockaddr_in address = resolve(host, port);
+  if (::connect(socket.fd(), reinterpret_cast<const sockaddr*>(&address), sizeof address) != 0) {
+    throw std::runtime_error("serve: cannot connect to " + host + ":" + std::to_string(port) +
+                             ": " + std::strerror(errno));
+  }
+  return socket;
+}
+
+HttpResponse error_response(int status, const std::string& message) {
+  HttpResponse response;
+  response.status = status;
+  response.body = "{\"schema\": \"netcons-serve-v2\", \"error\": {\"status\": " +
+                  std::to_string(status) + ", \"message\": ";
+  campaign::json::append_escaped(response.body, message);
+  response.body += "}}\n";
+  return response;
+}
 
 std::string_view status_reason(int status) noexcept {
   switch (status) {
@@ -133,19 +210,29 @@ RequestParser::State RequestParser::fail(const std::string& message) {
   return state_;
 }
 
-bool RequestParser::parse_head(std::string_view head) {
-  const std::size_t line_end = head.find("\r\n");
-  std::string_view request_line = head.substr(0, line_end);
-  const std::size_t method_end = request_line.find(' ');
+bool RequestParser::parse_start_line(std::string_view line) {
+  if (kind_ == Kind::kResponse) {
+    // "HTTP/1.1 200 OK": version, a three-digit code, an optional reason.
+    if (line.size() < 12 || line.substr(0, 9) != "HTTP/1.1 " ||
+        (line.size() > 12 && line[12] != ' ')) {
+      return false;
+    }
+    for (std::size_t i = 9; i < 12; ++i) {
+      if (line[i] < '0' || line[i] > '9') return false;
+      request_.status = request_.status * 10 + (line[i] - '0');
+    }
+    return true;
+  }
+  const std::size_t method_end = line.find(' ');
   const std::size_t target_end =
       method_end == std::string_view::npos ? std::string_view::npos
-                                           : request_line.find(' ', method_end + 1);
+                                           : line.find(' ', method_end + 1);
   if (method_end == std::string_view::npos || target_end == std::string_view::npos) {
     return false;
   }
-  request_.method = std::string(request_line.substr(0, method_end));
-  request_.target = std::string(request_line.substr(method_end + 1, target_end - method_end - 1));
-  const std::string_view version = request_line.substr(target_end + 1);
+  request_.method = std::string(line.substr(0, method_end));
+  request_.target = std::string(line.substr(method_end + 1, target_end - method_end - 1));
+  const std::string_view version = line.substr(target_end + 1);
   if (version != "HTTP/1.1" || request_.method.empty() || request_.target.empty() ||
       request_.target[0] != '/') {
     return false;
@@ -153,7 +240,12 @@ bool RequestParser::parse_head(std::string_view head) {
   const std::size_t query = request_.target.find('?');
   request_.path = request_.target.substr(0, query);
   request_.query = query == std::string::npos ? std::string() : request_.target.substr(query + 1);
+  return true;
+}
 
+bool RequestParser::parse_head(std::string_view head) {
+  const std::size_t line_end = head.find("\r\n");
+  if (!parse_start_line(head.substr(0, line_end))) return false;
   std::size_t cursor = line_end == std::string_view::npos ? head.size() : line_end + 2;
   while (cursor < head.size()) {
     std::size_t end = head.find("\r\n", cursor);
@@ -228,8 +320,8 @@ HttpServer::HttpServer(Options options, Handler handler)
 HttpServer::~HttpServer() { stop(); }
 
 void HttpServer::start() {
-  listener_ = fabric::listen_on(options_.host, options_.port);
-  port_ = fabric::local_port(listener_);
+  listener_ = listen_on(options_.host, options_.port);
+  port_ = local_port(listener_);
   started_ = true;
   acceptor_ = std::thread([this] { accept_main(); });
   const int threads = std::max(1, options_.threads);
@@ -259,7 +351,7 @@ void HttpServer::stop() {
 
 void HttpServer::accept_main() {
   for (;;) {
-    fabric::Socket client = fabric::accept_on(listener_);
+    Socket client(::accept(listener_.fd(), nullptr, nullptr));
     {
       std::lock_guard lock(mutex_);
       if (stopping_) return;
@@ -272,7 +364,7 @@ void HttpServer::accept_main() {
 
 void HttpServer::worker_main() {
   for (;;) {
-    fabric::Socket socket;
+    Socket socket;
     {
       std::unique_lock lock(mutex_);
       work_cv_.wait(lock, [&] { return stopping_ || !pending_.empty(); });
@@ -284,7 +376,7 @@ void HttpServer::worker_main() {
   }
 }
 
-void HttpServer::serve_connection(fabric::Socket socket) {
+void HttpServer::serve_connection(Socket socket) {
   set_io_timeout(socket.fd(), options_.io_timeout_seconds);
   RequestParser parser(options_.limits);
   char buffer[16384];
@@ -298,19 +390,13 @@ void HttpServer::serve_connection(fabric::Socket socket) {
       try {
         response = handler_(request);
       } catch (const std::exception& error) {
-        response.status = 500;
-        response.body = std::string("{\"error\": {\"status\": 500, \"message\": \"") +
-                        error.what() + "\"}}\n";
+        response = error_response(500, error.what());
       }
-      const bool close_connection = client_close || response.close;
-      if (!write_response(socket.fd(), std::move(response), close_connection)) return;
-      if (close_connection) return;
+      if (!write_response(socket.fd(), std::move(response), client_close)) return;
+      if (client_close) return;
     }
     if (parser.state() == RequestParser::State::kError) {
-      HttpResponse bad;
-      bad.status = 400;
-      bad.body = "{\"error\": {\"status\": 400, \"message\": \"" + parser.error() + "\"}}\n";
-      write_response(socket.fd(), std::move(bad), true);
+      write_response(socket.fd(), error_response(400, parser.error()), true);
       return;
     }
     const ssize_t n = ::recv(socket.fd(), buffer, sizeof buffer, 0);
@@ -325,10 +411,11 @@ void HttpServer::serve_connection(fabric::Socket socket) {
 
 FetchResult http_fetch(const std::string& host, int port, const std::string& method,
                        const std::string& target, const std::string& body,
-                       double timeout_seconds) {
-  fabric::Socket socket = fabric::connect_to(host, port, timeout_seconds);
+                       double timeout_seconds, const std::string& token) {
+  Socket socket = connect_to(host, port, timeout_seconds);
   std::string request = method + " " + target + " HTTP/1.1\r\nHost: " + host + ":" +
                         std::to_string(port) + "\r\nConnection: close\r\n";
+  if (!token.empty()) request += "Authorization: Bearer " + token + "\r\n";
   if (!body.empty() || method == "POST" || method == "PUT") {
     request += "Content-Type: application/json\r\nContent-Length: " +
                std::to_string(body.size()) + "\r\n";
@@ -339,43 +426,24 @@ FetchResult http_fetch(const std::string& host, int port, const std::string& met
     throw std::runtime_error("http_fetch: send failed: " + std::string(std::strerror(errno)));
   }
 
-  std::string raw;
+  // Artifact downloads may be large: the body cap is the server's to keep.
+  RequestParser parser({.max_body = std::numeric_limits<std::size_t>::max()},
+                       RequestParser::Kind::kResponse);
   char buffer[16384];
-  for (;;) {
+  while (parser.state() == RequestParser::State::kIncomplete) {
     const ssize_t n = ::recv(socket.fd(), buffer, sizeof buffer, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw std::runtime_error("http_fetch: recv failed: " + std::string(std::strerror(errno)));
     }
-    if (n == 0) break;
-    raw.append(buffer, static_cast<std::size_t>(n));
+    if (n == 0) throw std::runtime_error("http_fetch: truncated response");
+    parser.feed(buffer, static_cast<std::size_t>(n));
   }
-
-  const std::size_t head_end = raw.find("\r\n\r\n");
-  if (head_end == std::string::npos || raw.rfind("HTTP/1.1 ", 0) != 0) {
-    throw std::runtime_error("http_fetch: malformed response");
+  if (parser.state() == RequestParser::State::kError) {
+    throw std::runtime_error("http_fetch: malformed response: " + parser.error());
   }
-  FetchResult result;
-  result.status = std::atoi(raw.c_str() + 9);
-  std::size_t cursor = raw.find("\r\n") + 2;
-  while (cursor < head_end) {
-    std::size_t end = raw.find("\r\n", cursor);
-    if (end == std::string::npos || end > head_end) end = head_end;
-    const std::string_view line = std::string_view(raw).substr(cursor, end - cursor);
-    cursor = end + 2;
-    const std::size_t colon = line.find(':');
-    if (colon == std::string_view::npos) continue;
-    result.headers[lower(line.substr(0, colon))] = std::string(trim(line.substr(colon + 1)));
-  }
-  result.body = raw.substr(head_end + 4);
-  if (const auto it = result.headers.find("content-length"); it != result.headers.end()) {
-    const std::size_t length = static_cast<std::size_t>(std::atoll(it->second.c_str()));
-    if (result.body.size() < length) {
-      throw std::runtime_error("http_fetch: truncated response body");
-    }
-    result.body.resize(length);
-  }
-  return result;
+  HttpRequest response = parser.take();
+  return FetchResult{response.status, std::move(response.headers), std::move(response.body)};
 }
 
 }  // namespace netcons::serve

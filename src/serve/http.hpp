@@ -1,19 +1,16 @@
-// A minimal embedded HTTP/1.1 server over the fabric's POSIX socket
-// primitives (fabric/frame.hpp) — no new dependencies, just enough of the
-// protocol for the netcons_serve JSON API: request-line + headers parsing,
+// A minimal embedded HTTP/1.1 server and client over POSIX sockets — no
+// new dependencies, just enough of the protocol for the netcons_serve JSON
+// API and its fabric workers: request-line + headers parsing,
 // Content-Length bodies, keep-alive, and file-streamed responses for the
 // large cached artifacts (records stream in fixed-size chunks, never
-// materialized in memory).
+// materialized in memory). One parser (RequestParser) reads every byte
+// that arrives on a socket, in both directions.
 //
 // Deliberately NOT implemented (requests using them get a 4xx/close):
-// chunked transfer encoding on requests, HTTP/1.0 keep-alive, and TLS.
-// Authentication lives one layer up (serve/api.hpp checks the optional
-// bearer token); the transport trust model still matches
-// docs/fabric-protocol.md: bind to loopback or a trusted network only —
-// see docs/serving-api.md.
+// chunked transfer encoding, HTTP/1.0 keep-alive, and TLS. Authentication
+// lives one layer up (serve/api.hpp checks the optional bearer token);
+// bind to loopback or a trusted network only — see docs/serving-api.md.
 #pragma once
-
-#include "fabric/frame.hpp"
 
 #include <condition_variable>
 #include <cstddef>
@@ -28,7 +25,36 @@
 
 namespace netcons::serve {
 
+/// Move-only owner of a socket file descriptor.
+class Socket {
+ public:
+  Socket() = default;
+  explicit Socket(int fd) noexcept : fd_(fd) {}
+  ~Socket() { close(); }
+
+  Socket(Socket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  Socket& operator=(Socket&& other) noexcept;
+  Socket(const Socket&) = delete;
+  Socket& operator=(const Socket&) = delete;
+
+  [[nodiscard]] int fd() const noexcept { return fd_; }
+  [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
+  void close() noexcept;
+
+ private:
+  int fd_ = -1;
+};
+
+/// Blocking connect to the IPv4 `host:port`; throws std::runtime_error on
+/// failure. `io_timeout_seconds` > 0 arms SO_RCVTIMEO/SO_SNDTIMEO so a
+/// dead peer surfaces as an error instead of a hang.
+[[nodiscard]] Socket connect_to(const std::string& host, int port,
+                                double io_timeout_seconds = 0.0);
+
+/// One parsed HTTP message: a request, or (RequestParser::Kind::kResponse)
+/// a response, whose start line fills only `status`.
 struct HttpRequest {
+  int status = 0;      ///< Responses only: the status code.
   std::string method;  ///< Uppercase token as sent ("GET", "POST", ...).
   std::string target;  ///< The raw request-target ("/v1/campaigns?x=1").
   std::string path;    ///< Target up to the first '?'.
@@ -44,28 +70,35 @@ struct HttpResponse {
   /// Non-empty: stream this file as the body instead (Content-Length from
   /// the file size, 64 KiB chunks). `body` is ignored.
   std::string file_path;
-  /// Ask the client to close after this response (also honored when the
-  /// client sent "Connection: close").
-  bool close = false;
 };
 
 [[nodiscard]] std::string_view status_reason(int status) noexcept;
 
-/// Incremental HTTP/1.1 request parser (exposed for unit tests). Feed
-/// bytes as they arrive; kReady means one complete request is available
-/// via take(), which resets the parser for the next request on the
-/// connection (keep-alive). kError is fatal for the connection.
+/// The netcons-serve-v2 error envelope, for the Api's answers and the
+/// server's own (a malformed request, a handler that threw):
+///   {"schema": "netcons-serve-v2", "error": {"status": N, "message": "..."}}
+[[nodiscard]] HttpResponse error_response(int status, const std::string& message);
+
+/// Incremental HTTP/1.1 message parser (exposed for unit tests and the
+/// fuzzer). Feed bytes as they arrive; kReady means one complete message
+/// is available via take(), which resets the parser for the next one on
+/// the connection (keep-alive). kError is fatal for the connection. The
+/// server parses requests; http_fetch parses its response with kResponse
+/// (a "HTTP/1.1 NNN reason" status line; the body is Content-Length
+/// framed, as every netcons_serve response is).
 class RequestParser {
  public:
   struct Limits {
-    std::size_t max_head = 64u * 1024u;         ///< Request line + headers.
+    std::size_t max_head = 64u * 1024u;         ///< Start line + headers.
     std::size_t max_body = 8u * 1024u * 1024u;  ///< Content-Length cap.
   };
 
+  enum class Kind { kRequest, kResponse };
   enum class State { kIncomplete, kReady, kError };
 
   RequestParser() = default;
-  explicit RequestParser(Limits limits) : limits_(limits) {}
+  explicit RequestParser(Limits limits, Kind kind = Kind::kRequest)
+      : limits_(limits), kind_(kind) {}
 
   State feed(const char* data, std::size_t size);
   [[nodiscard]] State state() const noexcept { return state_; }
@@ -78,8 +111,10 @@ class RequestParser {
   State fail(const std::string& message);
   State advance();
   [[nodiscard]] bool parse_head(std::string_view head);
+  [[nodiscard]] bool parse_start_line(std::string_view line);
 
   Limits limits_;
+  Kind kind_ = Kind::kRequest;
   State state_ = State::kIncomplete;
   std::string buffer_;
   std::string error_;
@@ -121,32 +156,36 @@ class HttpServer {
  private:
   void accept_main();
   void worker_main();
-  void serve_connection(fabric::Socket socket);
+  void serve_connection(Socket socket);
 
   Options options_;
   Handler handler_;
-  fabric::Socket listener_;
+  Socket listener_;
   int port_ = -1;
   std::mutex mutex_;
   std::condition_variable work_cv_;
-  std::deque<fabric::Socket> pending_;
+  std::deque<Socket> pending_;
   bool stopping_ = false;
   bool started_ = false;
   std::thread acceptor_;
   std::vector<std::thread> workers_;
 };
 
-/// Minimal blocking HTTP/1.1 client for tests and benches: one request per
-/// call over a fresh connection ("Connection: close").
+/// Minimal blocking HTTP/1.1 client for fabric workers, tests and benches:
+/// one request per call over a fresh connection ("Connection: close").
 struct FetchResult {
   int status = 0;
   std::map<std::string, std::string> headers;  ///< Names lower-cased.
   std::string body;
 };
 
+/// A non-empty `token` is sent as "Authorization: Bearer <token>".
+/// `timeout_seconds` <= 0 blocks forever. Throws std::runtime_error on a
+/// connection failure or a malformed or truncated response.
 [[nodiscard]] FetchResult http_fetch(const std::string& host, int port,
                                      const std::string& method, const std::string& target,
                                      const std::string& body = {},
-                                     double timeout_seconds = 30.0);
+                                     double timeout_seconds = 30.0,
+                                     const std::string& token = {});
 
 }  // namespace netcons::serve

@@ -57,7 +57,7 @@ struct HeartbeatPoint {
 /// Parse one heartbeat line. nullopt on anything that is not a complete
 /// netcons-heartbeat-v1 object — malformed JSON (typically the torn tail of
 /// a line being written right now), a foreign schema, a missing field —
-/// so tailing readers (netcons_top, the fabric coordinator) can skip and
+/// so tailing readers (netcons_top, the serve Scheduler's poll) can skip and
 /// retry instead of aborting.
 [[nodiscard]] std::optional<HeartbeatPoint> parse_heartbeat_line(std::string_view line);
 

@@ -1,5 +1,5 @@
 // CoordinatorCore: the lease grant/expiry/reassignment state machine,
-// driven with an explicit fake clock (no sockets anywhere). The invariant
+// driven with an explicit fake clock (no transport anywhere). The invariant
 // under test throughout: slots, never leases, decide completion — so
 // worker deaths, reassignments, and double-completions can change *who*
 // executes a trial but never whether it is counted exactly once.
@@ -94,6 +94,8 @@ TEST(CoordinatorCore, ExpiryRequeuesToTheFrontAndMarksTheWorkerDead) {
   EXPECT_EQ(core.stats().workers_dead, 1u);
   EXPECT_EQ(core.stats().leases_requeued, 1u);
   EXPECT_EQ(core.live_workers(), 1u);
+  EXPECT_FALSE(core.live(doomed));
+  EXPECT_TRUE(core.live(survivor));
 
   // The requeued range beats fresh work to the next grant, under a new id.
   const auto regrant = core.grant(survivor, later);
@@ -157,21 +159,6 @@ TEST(CoordinatorCore, LateCompletionBeforeTheReplacementCommitsAndShrinksTheRegr
   EXPECT_FALSE(core.grant(fast, later).has_value());
 }
 
-TEST(CoordinatorCore, DisconnectRequeuesOutstandingLeases) {
-  CoordinatorCore core(1, 8, options(4, 10));
-  const int leaver = core.connect(t0());
-  const auto lease = core.grant(leaver, t0());
-  ASSERT_TRUE(lease.has_value());
-  core.disconnect(leaver);
-  EXPECT_EQ(core.stats().leases_requeued, 1u);
-  EXPECT_EQ(core.live_workers(), 0u);
-
-  const int next = core.connect(t0());
-  const auto regrant = core.grant(next, t0());
-  ASSERT_TRUE(regrant.has_value());
-  EXPECT_EQ(regrant->range, lease->range);
-}
-
 TEST(CoordinatorCore, PrecommitShrinksTheGridLikeResume) {
   CoordinatorCore core(2, 4, options(10));
   // Point 0 fully recorded by an earlier run; point 1 half recorded.
@@ -228,7 +215,8 @@ TEST(CoordinatorCore, UnknownIdsAreIgnored) {
   CoordinatorCore core(1, 4, options(4));
   const int worker = core.connect(t0());
   EXPECT_EQ(core.complete(worker, 999, t0()), 0);  // never granted
-  core.disconnect(12345);                          // unknown worker: no-op
+  EXPECT_TRUE(core.live(worker));
+  EXPECT_FALSE(core.live(12345));                  // never joined
   core.heartbeat(777, t0());                       // unknown worker: no-op
   EXPECT_EQ(core.committed(), 0u);
   const auto lease = core.grant(worker, t0());

@@ -92,6 +92,24 @@ TEST(RequestParser, RejectsMalformedAndOversizedRequests) {
             RequestParser::State::kError);
 }
 
+TEST(RequestParser, ParsesResponsesForTheClient) {
+  RequestParser parser({}, RequestParser::Kind::kResponse);
+  EXPECT_EQ(feed(parser,
+                 "HTTP/1.1 409 Conflict\r\nContent-Type: application/json\r\n"
+                 "Content-Length: 2\r\n\r\n{}"),
+            RequestParser::State::kReady);
+  const HttpRequest response = parser.take();
+  EXPECT_EQ(response.status, 409);
+  EXPECT_EQ(response.headers.at("content-type"), "application/json");
+  EXPECT_EQ(response.body, "{}");
+
+  for (const std::string bad : {"HTTP/1.0 200 OK\r\n\r\n", "HTTP/1.1 2x0 OK\r\n\r\n",
+                                "HTTP/1.1 2000\r\n\r\n", "GET / HTTP/1.1\r\n\r\n"}) {
+    RequestParser malformed({}, RequestParser::Kind::kResponse);
+    EXPECT_EQ(feed(malformed, bad), RequestParser::State::kError) << bad;
+  }
+}
+
 TEST(HttpServer, ServesHandlerResponsesOverLoopback) {
   HttpServer::Options options;
   options.threads = 2;
@@ -124,6 +142,7 @@ TEST(HttpServer, ServesHandlerResponsesOverLoopback) {
   const FetchResult crashed = http_fetch("127.0.0.1", server.port(), "GET", "/boom");
   EXPECT_EQ(crashed.status, 500);
   EXPECT_NE(crashed.body.find("handler exploded"), std::string::npos);
+  EXPECT_NE(crashed.body.find("\"schema\": \"netcons-serve-v2\""), std::string::npos);
 
   server.stop();
 }
@@ -155,7 +174,7 @@ TEST(HttpServer, StreamsFileBodiesAndKeepsConnectionsAlive) {
   EXPECT_EQ(fetched.headers.at("content-length"), std::to_string(contents.size()));
 
   // Keep-alive: two requests over one connection, by hand.
-  fabric::Socket socket = fabric::connect_to("127.0.0.1", server.port(), 10.0);
+  Socket socket = connect_to("127.0.0.1", server.port(), 10.0);
   const std::string request = "GET /file HTTP/1.1\r\nHost: x\r\n\r\n";
   auto fetch_once = [&]() {
     ASSERT_GT(::send(socket.fd(), request.data(), request.size(), 0), 0);
@@ -187,7 +206,7 @@ TEST(HttpServer, AnswersMalformedRequestsWith400) {
   HttpServer server(options, [](const HttpRequest&) { return HttpResponse{}; });
   server.start();
 
-  fabric::Socket socket = fabric::connect_to("127.0.0.1", server.port(), 10.0);
+  Socket socket = connect_to("127.0.0.1", server.port(), 10.0);
   const std::string garbage = "GET / SPDY/9\r\n\r\n";
   ASSERT_GT(::send(socket.fd(), garbage.data(), garbage.size(), 0), 0);
   std::string raw;
@@ -199,6 +218,8 @@ TEST(HttpServer, AnswersMalformedRequestsWith400) {
   }
   EXPECT_EQ(raw.rfind("HTTP/1.1 400 Bad Request", 0), 0u);
   EXPECT_NE(raw.find("Connection: close"), std::string::npos);
+  EXPECT_NE(raw.find("{\"schema\": \"netcons-serve-v2\", \"error\": {\"status\": 400"),
+            std::string::npos);
   socket.close();
   server.stop();
 }

@@ -14,13 +14,13 @@ confuses the comparison:
     every --flag token on such a line counts (so "--k K  --c C  --d D"
     yields all three);
   * from OPERATIONS.md: only the first cell of rows in the tool's own
-    "### `tool` flags" table. netcons_campaign / netcons_coord /
-    netcons_worker additionally own the shared "### Campaign spec flags"
-    table (one parser in the code, one table in the docs).
+    "### `tool` flags" table. netcons_campaign / netcons_worker
+    additionally own the shared "### Campaign spec flags" table (one
+    parser in the code, one table in the docs).
 
 Usage: test_help_matches_docs.py REPO_ROOT NETCONS_RUN NETCONS_CAMPAIGN \
-           NETCONS_MERGE NETCONS_REPORT NETCONS_TOP NETCONS_COORD \
-           NETCONS_WORKER NETCONS_SERVE
+           NETCONS_MERGE NETCONS_REPORT NETCONS_TOP NETCONS_WORKER \
+           NETCONS_SERVE
 
 Exit status: 0 on agreement, 1 on drift (each mismatch printed).
 Stdlib only -- CI runners need nothing installed.
@@ -35,7 +35,7 @@ FLAG = re.compile(r"--[a-z][a-z0-9-]*")
 SECTION_END = re.compile(r"^#{1,3}\s")
 
 # Tools that parse the shared campaign-spec flag set (campaign::spec_cli).
-SPEC_TOOLS = {"netcons_campaign", "netcons_coord", "netcons_worker"}
+SPEC_TOOLS = {"netcons_campaign", "netcons_worker"}
 
 
 def help_flags(command):
@@ -83,11 +83,11 @@ def docs_tables(operations_md):
 
 
 def main():
-    if len(sys.argv) != 10:
+    if len(sys.argv) != 9:
         print(__doc__, file=sys.stderr)
         return 2
     root = pathlib.Path(sys.argv[1])
-    binaries = sys.argv[2:10]
+    binaries = sys.argv[2:9]
     operations = (root / "docs" / "OPERATIONS.md").read_text(encoding="utf-8")
     tables = docs_tables(operations)
     spec_table = tables.get("Campaign spec", set())

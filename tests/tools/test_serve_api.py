@@ -2,7 +2,7 @@
 """End-to-end serving-API contract, registered with ctest.
 
 Launches the real netcons_serve daemon on a kernel-assigned loopback port
-and drives the netcons-serve-v1 API with stdlib http.client, checking the
+and drives the netcons-serve-v2 API with stdlib http.client, checking the
 guarantees docs/serving-api.md makes and CI relies on:
 
   * POST /v1/campaigns accepts a spec, returns its fingerprint id, and a
@@ -15,7 +15,7 @@ guarantees docs/serving-api.md makes and CI relies on:
   * re-POSTing the identical spec answers 200 with "cached": true —
     no trials run again;
   * malformed documents -- including a 2 MB run of nested "[" -- get a
-    400 netcons-serve-v1 error envelope,
+    400 netcons-serve-v2 error envelope,
     unknown ids and endpoints a 404, artifact requests on unfinished
     jobs a 409, and GET /v1/metrics snapshots the serve.* counters.
 
@@ -102,7 +102,7 @@ class ServeApiTest(unittest.TestCase):
         status, _, body = request(self.port, "POST", "/v1/campaigns", SPEC)
         self.assertIn(status, (200, 202), body)
         document = json.loads(body)
-        self.assertEqual(document["schema"], "netcons-serve-v1")
+        self.assertEqual(document["schema"], "netcons-serve-v2")
         job = document["id"]
         self.assertRegex(job, r"^[0-9a-f]{16}$")
         deadline = time.monotonic() + 240
@@ -110,7 +110,7 @@ class ServeApiTest(unittest.TestCase):
             status, _, body = request(self.port, "GET", f"/v1/campaigns/{job}")
             self.assertEqual(status, 200, body)
             polled = json.loads(body)
-            self.assertEqual(polled["schema"], "netcons-serve-v1")
+            self.assertEqual(polled["schema"], "netcons-serve-v2")
             if polled["state"] == "done":
                 self.assertEqual(polled["trials_done"],
                                  polled["trials_total"])
@@ -152,7 +152,7 @@ class ServeApiTest(unittest.TestCase):
             status, _, raw = request(self.port, method, target, body)
             self.assertEqual(status, expect, (target, raw))
             envelope = json.loads(raw)
-            self.assertEqual(envelope["schema"], "netcons-serve-v1")
+            self.assertEqual(envelope["schema"], "netcons-serve-v2")
             self.assertEqual(envelope["error"]["status"], expect)
             self.assertTrue(envelope["error"]["message"])
 
@@ -169,7 +169,7 @@ class ServeApiTest(unittest.TestCase):
                                  b"[" * (2 << 20))
         self.assertEqual(status, 400, raw[:200])
         envelope = json.loads(raw)
-        self.assertEqual(envelope["schema"], "netcons-serve-v1")
+        self.assertEqual(envelope["schema"], "netcons-serve-v2")
         self.assertIn("nesting too deep", envelope["error"]["message"])
         status, _, body = request(self.port, "GET", "/v1/metrics")
         self.assertEqual(status, 200, body)

@@ -11,8 +11,8 @@ Two checks over README.md and docs/*.md:
 
 2. Every schema name the code can emit is documented: any string matching
    netcons-<name>-v<N> in src/ or tools/ must appear in
-   docs/FILE_FORMATS.md. (tests/ are excluded on purpose: they mint fake
-   versions like netcons-fabric-v99 to exercise mismatch errors.)
+   docs/FILE_FORMATS.md. (tests/ are excluded on purpose: they may mint
+   fake versions to exercise mismatch errors.)
 
 3. Every schema name the docs *talk about* is documented too: a
    netcons-<name>-v<N> mentioned in README.md or any docs/*.md (other

@@ -15,11 +15,12 @@
 // summary/records/report persist keyed by fingerprint, so re-submits are
 // O(1) cache lookups and the bytes served are cmp-identical to what
 // netcons_campaign / netcons_report emit for the same spec (CI-gated).
-// With "dispatch": "fabric" a job runs as an embedded coordinator handing
-// leases to external netcons_worker processes (see docs/serving-api.md).
+// With "dispatch": "fabric" a job hands trial-range leases to external
+// netcons_worker processes through POST /v1/campaigns/{id}/join, /lease
+// and /heartbeat on this same port (see docs/serving-api.md).
 //
-// Trust model: plain HTTP; bind to loopback or a trusted network only,
-// exactly like the fabric port (docs/fabric-protocol.md). --token SECRET
+// Trust model: plain HTTP; bind to loopback or a trusted network only
+// (docs/serving-api.md). --token SECRET
 // additionally requires "Authorization: Bearer SECRET" on every request
 // (401 otherwise) — a shared secret, not a substitute for network trust:
 // the token and all traffic still travel in cleartext.
@@ -49,7 +50,7 @@ struct Options {
   int jobs = 1;          // campaign jobs executed concurrently
   int http_threads = 4;  // HTTP connection workers
   std::size_t cache_max = 0;
-  double max_idle = 600.0;  // fabric dispatch idle give-up
+  double max_idle = 600.0;  // fabric dispatch: no live worker for this long
   std::string token;
   bool quiet = false;
 };
@@ -73,8 +74,8 @@ void print_help(const char* argv0) {
          "  --http-threads N        HTTP connection worker threads (default 4)\n"
          "  --cache-max N           keep at most N cache entries, evicting the\n"
          "                          least-recently-hit (default 0: unbounded)\n"
-         "  --max-idle SECONDS      fabric dispatch: give up on a job with no\n"
-         "                          connected workers for this long (default 600)\n"
+         "  --max-idle SECONDS      fabric dispatch: give up on a job with no live\n"
+         "                          worker for this long (default 600; 0: never)\n"
          "  --token SECRET          require \"Authorization: Bearer SECRET\" on every\n"
          "                          request; anything else is answered 401\n"
          "                          (default: no authentication)\n"
@@ -162,7 +163,6 @@ int main(int argc, char** argv) {
   scheduler_options.threads = opt.threads;
   scheduler_options.job_workers = opt.jobs;
   scheduler_options.cache_max_entries = opt.cache_max;
-  scheduler_options.fabric_host = opt.host;
   scheduler_options.fabric_max_idle_seconds = opt.max_idle;
   scheduler_options.registry = &registry;
 
@@ -180,8 +180,7 @@ int main(int argc, char** argv) {
                              });
     server.start();
 
-    // Orchestrators parse this line to learn a kernel-assigned port
-    // (mirrors netcons_coord's announce line).
+    // Orchestrators parse this line to learn a kernel-assigned port.
     std::cout << "netcons_serve listening on " << opt.host << ":" << server.port() << "\n"
               << std::flush;
     if (!opt.quiet) {

@@ -1,15 +1,18 @@
 // netcons_worker: one campaign-fabric worker process (see src/fabric/).
 //
+//   curl -s -X POST localhost:7460/v1/campaigns
+//       -d '{"protocols": ["cycle-cover"], "ns": [64], "trials": 1000,
+//            "dispatch": "fabric"}'
 //   netcons_worker --protocols cycle-cover --ns 64 --trials 1000
-//       --connect 127.0.0.1:7450 --records records/
+//       --connect 127.0.0.1:7460
 //
-// The worker must be launched with the same spec flags as its
-// netcons_coord: the hello handshake compares campaign fingerprints and
-// refuses a mismatch, naming the differing field. Granted leases execute
-// through the stock campaign engine (same seeds, same engines, same fault
-// plans) and stream records into --records as fabric-wNNNN-gNNNN.jsonl;
-// merge all workers' files with netcons_merge for the byte-identical
-// single-host summary.
+// The worker must be launched with the same spec flags as the fabric job
+// submitted to netcons_serve: it derives the job id from its own spec, and
+// the daemon refuses a mismatch, naming the differing field. Granted
+// leases execute through the stock campaign engine (same seeds, same
+// engines, same fault plans) and stream records into the job's spool
+// directory, which the daemon folds into the byte-identical single-host
+// summary once every trial is committed.
 #include "campaign/spec_cli.hpp"
 #include "fabric/worker.hpp"
 
@@ -27,7 +30,6 @@ struct Options {
   campaign::SpecCli spec;
   std::string host = "127.0.0.1";
   int port = 0;
-  std::string records_dir;
   int threads = 0;
   double io_timeout = 30.0;
   std::string token;
@@ -37,28 +39,27 @@ struct Options {
 void print_help(const char* argv0) {
   std::cout
       << "usage: " << argv0
-      << " [spec flags] --connect HOST:PORT --records DIR [worker flags]\n"
-      << "\nExecute trial-range leases granted by a netcons_coord serving the same\n"
-         "campaign spec, streaming trial records into the records directory.\n"
+      << " [spec flags] --connect HOST:PORT [worker flags]\n"
+      << "\nExecute trial-range leases of the fabric job a netcons_serve daemon runs\n"
+         "for the same campaign spec, streaming trial records into the job's spool.\n"
       << "\nspec flags:\n"
       << campaign::spec_usage()
       << "\nworker flags:\n"
-         "  --connect HOST:PORT     the coordinator's address (required)\n"
-         "  --records DIR           directory for this worker's record file (required)\n"
+         "  --connect HOST:PORT     the netcons_serve daemon's address (required)\n"
          "  --threads K             worker threads (default: all cores)\n"
-         "  --io-timeout SECONDS    treat a silent coordinator as dead after this\n"
+         "  --io-timeout SECONDS    treat a silent daemon as dead after this\n"
          "                          (default 30; 0: block forever)\n"
-         "  --token SECRET          shared secret for the hello handshake; must match\n"
-         "                          the coordinator's --token (default: none)\n"
+         "  --token SECRET          bearer token; must match the daemon's --token\n"
+         "                          (default: none)\n"
          "  --list                  print registered protocols/processes/schedulers/engines\n"
          "  --quiet                 suppress per-lease progress lines on stderr\n"
          "  --help                  this message\n"
-         "\nProtocol spec: docs/fabric-protocol.md. Runbook: docs/OPERATIONS.md.\n";
+         "\nWire spec: docs/serving-api.md. Runbook: docs/OPERATIONS.md.\n";
 }
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [spec flags] --connect HOST:PORT --records DIR\n"
+            << " [spec flags] --connect HOST:PORT\n"
                "       [--threads K] [--io-timeout SECONDS] [--token SECRET] [--quiet]\n"
                "(--help for flag descriptions)\n";
   return 2;
@@ -93,10 +94,6 @@ std::optional<Options> parse(int argc, char** argv) {
       }
       opt.host = value.substr(0, colon);
       opt.port = *port;
-    } else if (arg == "--records") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      opt.records_dir = v;
     } else if (arg == "--token") {
       const char* v = next();
       if (!v) return std::nullopt;
@@ -126,8 +123,8 @@ std::optional<Options> parse(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  if (opt.port == 0 || opt.records_dir.empty()) {
-    std::cerr << "--connect HOST:PORT and --records DIR are required\n";
+  if (opt.port == 0) {
+    std::cerr << "--connect HOST:PORT is required\n";
     return std::nullopt;
   }
   return opt;
@@ -146,7 +143,6 @@ int main(int argc, char** argv) {
   fabric::WorkerOptions worker_options;
   worker_options.host = opt.host;
   worker_options.port = opt.port;
-  worker_options.records_dir = opt.records_dir;
   worker_options.threads = opt.threads;
   worker_options.io_timeout_seconds = opt.io_timeout;
   worker_options.token = opt.token;
