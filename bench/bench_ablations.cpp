@@ -8,6 +8,7 @@
 //  3. Replication cost vs input size: Theta(n^4 log n) dominated by the
 //     unique-leader copying phase.
 //  4. kRC state growth: 2(k+1) states buys degree-k connectivity.
+#include "bench_help.hpp"
 #include "analysis/experiment.hpp"
 #include "protocols/protocols.hpp"
 #include "sched/schedulers.hpp"
@@ -16,7 +17,14 @@
 #include <iostream>
 #include <memory>
 
-int main() {
+constexpr const char* kUsage =
+    "usage: bench_ablations\n"
+    "\n"
+    "Ablations: degree-doubling, scheduler sensitivity, replication cost, kRC state growth.\n"
+    "Takes no flags.\n";
+
+int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   using namespace netcons;
 
   std::cout << "=== Ablation 1: degree-doubling -- states vs constructed degree ===\n";

@@ -17,6 +17,7 @@
 // --json FILE writes the machine-readable throughput metrics consumed by
 // the nightly bench workflow's regression gate (tools/compare_bench.py):
 // every value under "throughput" is higher-is-better.
+#include "bench_help.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/registry.hpp"
 #include "campaign/result_sink.hpp"
@@ -30,7 +31,16 @@
 
 using namespace netcons;
 
+constexpr const char* kUsage =
+    "usage: bench_campaign_scaling [TRIALS] [--advisory] [--json FILE]\n"
+    "\n"
+    "Campaign determinism (1 vs N threads) and parallel speedup.\n"
+    "  TRIALS        trials per grid point (default 100)\n"
+    "  --advisory    report the speedup but never fail on it\n"
+    "  --json FILE   write the metrics\n";
+
 int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   int trials = 100;  // per grid point; 5 points => 500-trial sweep
   bool advisory = false;  // report the speedup but never fail on it
   std::string json_path;

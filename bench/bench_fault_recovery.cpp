@@ -19,6 +19,7 @@
 // --json FILE writes throughput metrics for the nightly bench workflow's
 // regression gate (tools/compare_bench.py): "throughput" values are
 // higher-is-better.
+#include "bench_help.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/registry.hpp"
 #include "faults/fault_plan.hpp"
@@ -32,7 +33,16 @@
 #include <string>
 #include <vector>
 
+constexpr const char* kUsage =
+    "usage: bench_fault_recovery [--trials T] [--n N] [--json FILE]\n"
+    "\n"
+    "Fault-recovery sweep: protocols x fault plans.\n"
+    "  --trials T    trials per cell (default 20)\n"
+    "  --n N         population (default 24)\n"
+    "  --json FILE   write the metrics\n";
+
 int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   using namespace netcons;
 
   int trials = 20;

@@ -6,6 +6,7 @@
 // edges dissolved. We print the same trajectory as a time series: number of
 // centers, center-peripheral edges, peripheral-peripheral edges, and whether
 // the configuration is a stable spanning star.
+#include "bench_help.hpp"
 #include "core/trace.hpp"
 #include "graph/predicates.hpp"
 #include "protocols/protocols.hpp"
@@ -13,7 +14,13 @@
 
 #include <iostream>
 
-int main() {
+constexpr const char* kUsage =
+    "usage: bench_fig1_star_dynamics\n"
+    "\n"
+    "Figure 1: Global-Star self-organization time series. Takes no flags.\n";
+
+int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   using namespace netcons;
   const int n = 40;
   const auto spec = protocols::global_star();

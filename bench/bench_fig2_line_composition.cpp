@@ -3,6 +3,7 @@
 // unique leader, either an endpoint l or a walking w), plus isolated q0
 // nodes. We print the component census and leader census as the execution
 // progresses, ending in a single spanning line.
+#include "bench_help.hpp"
 #include "core/trace.hpp"
 #include "graph/predicates.hpp"
 #include "protocols/protocols.hpp"
@@ -10,7 +11,13 @@
 
 #include <iostream>
 
-int main() {
+constexpr const char* kUsage =
+    "usage: bench_fig2_line_composition\n"
+    "\n"
+    "Figure 2: Simple-Global-Line component census over time. Takes no flags.\n";
+
+int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   using namespace netcons;
   const int n = 60;
   const auto spec = protocols::simple_global_line();

@@ -9,6 +9,7 @@
 //    interaction overhead of distributed head movement quantified.
 //  * Figures 7-8 ((U, D, M) partition): the Theorem 15 substrate.
 //  * Theorem 16: the logarithmic-waste constructor.
+#include "bench_help.hpp"
 #include "analysis/experiment.hpp"
 #include "generic/linear_waste.hpp"
 #include "generic/log_waste.hpp"
@@ -19,7 +20,13 @@
 
 #include <iostream>
 
-int main() {
+constexpr const char* kUsage =
+    "usage: bench_fig3_generic_constructor\n"
+    "\n"
+    "Figures 3-8: the generic constructors. Takes no flags.\n";
+
+int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   using namespace netcons;
 
   std::cout << "=== Figure 3/4/6 + Theorem 14: linear-waste generic constructor ===\n"

@@ -7,6 +7,7 @@
 // We measure all three across a shared n-sweep, report fitted exponents and
 // the crossover, and address the paper's Section 7 open question with data:
 // does follower-dissolution beat the O(n^3) protocol?
+#include "bench_help.hpp"
 #include "analysis/experiment.hpp"
 #include "protocols/protocols.hpp"
 #include "util/stats.hpp"
@@ -23,7 +24,14 @@ int env_int(const char* name, int fallback) {
 }
 }  // namespace
 
-int main() {
+constexpr const char* kUsage =
+    "usage: bench_global_line\n"
+    "\n"
+    "Spanning-line race (Simple-, Fast-, Faster-Global-Line).\n"
+    "Environment: NETCONS_TRIALS (default 8).\n";
+
+int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   using namespace netcons;
   const int trials = env_int("NETCONS_TRIALS", 8);
 

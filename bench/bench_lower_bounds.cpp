@@ -10,6 +10,7 @@
 // term: a lower-bounded ratio (bounded away from 0 as n grows) is the
 // empirical signature of the Omega; a bounded-above ratio for matching
 // protocols shows tightness.
+#include "bench_help.hpp"
 #include "analysis/experiment.hpp"
 #include "protocols/protocols.hpp"
 #include "util/stats.hpp"
@@ -25,7 +26,14 @@ int env_int(const char* name, int fallback) {
 }
 }  // namespace
 
-int main() {
+constexpr const char* kUsage =
+    "usage: bench_lower_bounds\n"
+    "\n"
+    "Measured means normalized by the paper's lower bounds.\n"
+    "Environment: NETCONS_TRIALS (default 12).\n";
+
+int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   using namespace netcons;
   const int trials = env_int("NETCONS_TRIALS", 12);
 

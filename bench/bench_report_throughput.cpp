@@ -18,6 +18,7 @@
 // --json FILE writes the machine-readable throughput metrics consumed by
 // the nightly bench workflow's regression gate (tools/compare_bench.py):
 // every value under "throughput" is higher-is-better.
+#include "bench_help.hpp"
 #include "analysis/distribution.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/seeds.hpp"
@@ -67,7 +68,15 @@ double reference_quantile(std::vector<double> samples, double p) {
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_report_throughput [--records N] [--json FILE]\n"
+    "\n"
+    "Record streaming and distribution-report throughput.\n"
+    "  --records N   synthetic records (default 200000)\n"
+    "  --json FILE   write the metrics\n";
+
 int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   std::uint64_t records = 200000;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {

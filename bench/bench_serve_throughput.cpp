@@ -21,6 +21,7 @@
 // --json FILE writes the machine-readable metrics consumed by the nightly
 // bench workflow's regression gate (tools/compare_bench.py, family
 // "serve_throughput"): *_rps values are higher-is-better.
+#include "bench_help.hpp"
 #include "campaign/scheduler.hpp"
 #include "campaign/spec_cli.hpp"
 #include "serve/api.hpp"
@@ -62,7 +63,17 @@ constexpr const char* kSpecBody =
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_serve_throughput [--clients C] [--requests R] [--min-rps X] [--json FILE]\n"
+    "\n"
+    "In-process serving stack under concurrent cache-hit requests.\n"
+    "  --clients C   concurrent clients (default 8)\n"
+    "  --requests R  request pairs per client (default 200)\n"
+    "  --min-rps X   fail below X requests/s (default 0: off)\n"
+    "  --json FILE   write the metrics\n";
+
 int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   int clients = 8;
   int requests = 200;  // request pairs per client
   double min_rps = 0.0;

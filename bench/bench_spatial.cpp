@@ -18,6 +18,7 @@
 // its per-interaction cost is O(1) algorithmically but rises with the
 // working-set size once the census buckets outgrow cache, so asserting
 // cross-n flatness would gate on the memory hierarchy, not the code.
+#include "bench_help.hpp"
 #include "campaign/registry.hpp"
 #include "core/census_engine.hpp"
 #include "sched/proximity.hpp"
@@ -49,7 +50,16 @@ ProximityParams bench_params() {
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_spatial [--samples K] [--effective K] [--json FILE]\n"
+    "\n"
+    "Proximity sampler and weighted census scaling over n = 2^8 .. 2^14.\n"
+    "  --samples K    sampler draws per population size (default 1000000)\n"
+    "  --effective K  census effective-interaction budget (default 20000)\n"
+    "  --json FILE    write the metrics\n";
+
 int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   std::uint64_t samples = 1000000;    // sampler draws per population size
   std::uint64_t effective = 20000;    // census effective-interaction budget
   std::string json_path;
@@ -61,7 +71,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::cerr << "usage: bench_spatial [--samples K] [--effective K] [--json FILE]\n";
+      std::cerr << kUsage;
       return 2;
     }
   }

@@ -2,6 +2,7 @@
 // ~log k nodes each, with unique names. We sweep n, report the achieved
 // (k, line length) against the theorem's k * ceil(log k) <= n target, the
 // naming overhead, and the convergence time.
+#include "bench_help.hpp"
 #include "generic/supernodes.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -12,7 +13,13 @@
 #include <iostream>
 #include <set>
 
-int main() {
+constexpr const char* kUsage =
+    "usage: bench_supernodes\n"
+    "\n"
+    "Theorem 18: supernode construction sweep. Takes no flags.\n";
+
+int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   using namespace netcons;
 
   std::cout << "=== Theorem 18: supernode construction ===\n\n";

@@ -5,6 +5,7 @@
 // completion over many trials and sizes, print it against the closed-form
 // expectation (exact where the proposition pins it down), and fit the
 // power-law exponent to confirm the Theta-shape.
+#include "bench_help.hpp"
 #include "analysis/experiment.hpp"
 #include "processes/processes.hpp"
 #include "util/stats.hpp"
@@ -22,7 +23,14 @@ int env_int(const char* name, int fallback) {
 
 }  // namespace
 
-int main() {
+constexpr const char* kUsage =
+    "usage: bench_table1_processes\n"
+    "\n"
+    "Table 1: the seven fundamental processes.\n"
+    "Environment: NETCONS_TRIALS (default 25).\n";
+
+int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   using namespace netcons;
   const int trials = env_int("NETCONS_TRIALS", 25);
   const std::vector<int> ns{16, 24, 32, 48, 64, 96};

@@ -3,6 +3,7 @@
 // bounds. Sizes are chosen per protocol so the slowest (Omega(n^4)) rows
 // stay tractable; the *shape* columns (fitted exponent, mean normalized by
 // the proven bound) are what the paper's Theta/O/Omega entries predict.
+#include "bench_help.hpp"
 #include "analysis/experiment.hpp"
 #include "protocols/protocols.hpp"
 #include "util/stats.hpp"
@@ -29,7 +30,14 @@ struct Row {
 
 }  // namespace
 
-int main() {
+constexpr const char* kUsage =
+    "usage: bench_table2_protocols\n"
+    "\n"
+    "Table 2: every direct constructor against its bounds.\n"
+    "Environment: NETCONS_TRIALS (default 10).\n";
+
+int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   using namespace netcons;
   const int t = env_int("NETCONS_TRIALS", 10);
 

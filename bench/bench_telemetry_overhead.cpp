@@ -29,6 +29,7 @@
 // --advisory disables failing). --json FILE writes a document with a
 // "throughput" object (higher-is-better, tracked by compare_bench.py) and
 // an "overhead" object (lower-is-better, absolute-tolerance gate).
+#include "bench_help.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/registry.hpp"
 #include "telemetry/heartbeat.hpp"
@@ -60,7 +61,21 @@ struct Sample {
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_telemetry_overhead [--n N] [--trials T] [--reps R] [--seed S]\n"
+    "                                [--max-overhead X] [--advisory] [--json FILE]\n"
+    "\n"
+    "Telemetry-on vs telemetry-off campaign CPU time.\n"
+    "  --n N             population (default 32)\n"
+    "  --trials T        trials per rep (default 5000)\n"
+    "  --reps R          interleaved off/on reps (default 20)\n"
+    "  --seed S          base seed\n"
+    "  --max-overhead X  fail above X (default 0.02)\n"
+    "  --advisory        report but never fail\n"
+    "  --json FILE       write the metrics\n";
+
 int main(int argc, char** argv) {
+  if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
   using namespace netcons;
 
   int n = 32;

@@ -108,6 +108,9 @@ Scheduler::Scheduler(Options options) : options_(std::move(options)) {
   if (options_.cache_dir.empty()) {
     throw std::runtime_error("scheduler: a cache directory is required");
   }
+  // Absolute once, here, so every path handed out (poll's records_dir, the
+  // fabric join reply, artifact paths) agrees whatever the caller's cwd.
+  options_.cache_dir = std::filesystem::absolute(options_.cache_dir).string();
   std::filesystem::create_directories(options_.cache_dir);
   const int workers = std::max(1, options_.job_workers);
   workers_.reserve(static_cast<std::size_t>(workers));
@@ -513,7 +516,7 @@ FabricAnswer Scheduler::fabric_join(const std::string& id, const CampaignHeader&
   answer.worker = job->leases->connect(fabric::CoordinatorCore::Clock::now());
   answer.deadline_s = deadline;
   answer.heartbeat_s = deadline > 0.0 ? std::min(1.0, deadline / 4.0) : 1.0;
-  answer.records_dir = std::filesystem::absolute(spool_records_dir(id)).string();
+  answer.records_dir = spool_records_dir(id);
   return answer;
 }
 

@@ -75,13 +75,8 @@ CensusEngine::CensusEngine(Protocol protocol, int n, std::uint64_t seed,
     weight_model_ = Simulator::mutable_scheduler()->weight_model(rng(), n);
     if (weight_model_ == nullptr) {
       note_fallback(g_noted_scheduler, "scheduler", "a non-uniform scheduler");
-      return;  // the tables are never built; no journal needed
     }
   }
-  // Journal capacity: past ~2 entries per node, replaying costs about as
-  // much as the full rebuild the overflow falls back to.
-  log_.capacity = std::max<std::size_t>(1024, static_cast<std::size_t>(n) * 2);
-  Simulator::mutable_world().set_mutation_log(&log_);
 }
 
 void CensusEngine::set_interceptor(StepInterceptor* interceptor) noexcept {
@@ -89,9 +84,9 @@ void CensusEngine::set_interceptor(StepInterceptor* interceptor) noexcept {
     note_fallback(g_noted_interceptor, "interceptor", "a step interceptor");
   }
   interceptor_installed_ = interceptor != nullptr;
-  // Everything the interceptor (and the naive per-step phase under it)
-  // mutates lands in the journal; census sampling resumes with an exact
-  // delta replay, or one full rebuild if the phase overflowed it.
+  // Whatever the interceptor (and the naive per-step phase under it)
+  // mutates moves the world's version, so census sampling resumes with one
+  // full rebuild.
   Simulator::set_interceptor(interceptor);
 }
 
@@ -156,77 +151,12 @@ void CensusEngine::rebuild_tables() {
   // The kill() invariant guarantees dead nodes are edge-free, so every
   // active edge has two alive endpoints.
   w.for_each_active_edge([this](int u, int v) { insert_edge(u, v); });
-  log_.clear();
   refresh_weights();
+  synced_version_ = w.version();
 }
 
 void CensusEngine::sync_tables() {
-  if (tables_dirty_ || log_.overflowed) {
-    rebuild_tables();
-    tables_dirty_ = false;
-    return;
-  }
-  if (log_.entries.empty()) return;
-  for (const auto& entry : log_.entries) {
-    apply_log_entry(entry);
-    if (tables_dirty_) break;  // inconsistent journal; resync from scratch
-  }
-  log_.clear();
-  if (tables_dirty_) {
-    rebuild_tables();
-    tables_dirty_ = false;
-  }
-}
-
-void CensusEngine::apply_log_entry(const WorldMutationLog::Entry& entry) {
-  ++stats_.delta_updates;
-  const int u = entry.u;
-  const int v = entry.v;
-  switch (entry.kind) {
-    case WorldMutationLog::Kind::kSetState: {
-      node_list_move(u, entry.prev, entry.next);
-      // Rebucketing reads the world's *final* endpoint states; any
-      // endpoint whose state differs mid-journal has its own later
-      // kSetState entry that rebuckets the edge again, so the replayed
-      // tables land exactly on the world's final configuration.
-      for (std::uint32_t pos = 0; pos < adj_len_[static_cast<std::size_t>(u)]; ++pos) {
-        rebucket_edge(adj_at(u, pos));
-      }
-      touch_state_classes(entry.prev);
-      if (entry.next != entry.prev) touch_state_classes(entry.next);
-      break;
-    }
-    case WorldMutationLog::Kind::kEdgeOn: {
-      insert_edge(u, v);
-      const StateId a = world().state(u);
-      const StateId b = world().state(v);
-      touch_state_classes(a);
-      if (b != a) touch_state_classes(b);
-      break;
-    }
-    case WorldMutationLog::Kind::kEdgeOff: {
-      const std::uint32_t slot = find_edge_slot(u, v);
-      if (slot == kNoSlot) {
-        tables_dirty_ = true;  // journal out of sync with the tables
-        return;
-      }
-      const auto q = static_cast<std::uint32_t>(protocol().state_count());
-      const std::uint32_t key = edges_[slot].bucket;
-      erase_edge(slot);
-      touch_state_classes(static_cast<StateId>(key / q));
-      if (key / q != key % q) touch_state_classes(static_cast<StateId>(key % q));
-      break;
-    }
-    case WorldMutationLog::Kind::kKill: {
-      if (adj_len_[static_cast<std::size_t>(u)] != 0) {
-        tables_dirty_ = true;  // kill's incident kEdgeOff entries must precede it
-        return;
-      }
-      node_list_remove(u, entry.prev);
-      touch_state_classes(entry.prev);
-      break;
-    }
-  }
+  if (synced_version_ != world().version()) rebuild_tables();
 }
 
 void CensusEngine::insert_edge(int u, int v) {
@@ -310,16 +240,6 @@ void CensusEngine::node_list_move(int u, StateId from, StateId to) {
   auto& new_list = nodes_by_state_[to];
   node_pos_[static_cast<std::size_t>(u)] = static_cast<std::int32_t>(new_list.size());
   new_list.push_back(u);
-}
-
-void CensusEngine::node_list_remove(int u, StateId from) {
-  auto& list = nodes_by_state_[from];
-  const std::int32_t pos = node_pos_[static_cast<std::size_t>(u)];
-  const std::int32_t moved = list.back();
-  list[static_cast<std::size_t>(pos)] = moved;
-  list.pop_back();
-  node_pos_[static_cast<std::size_t>(moved)] = pos;
-  node_pos_[static_cast<std::size_t>(u)] = -1;
 }
 
 void CensusEngine::touch_class(std::uint32_t ci) {
@@ -516,18 +436,14 @@ void CensusEngine::execute_and_update(int u, int v, std::uint32_t slot) {
   const StateId sb = w.state(v);
   const bool had_edge = slot != kNoSlot;
 
-  // Leave the journal recording: the log is clean here (census_step syncs
-  // on entry), so the encounter's own <= 3 entries are ours to consume --
-  // reading the edge outcome from them beats re-probing the world.
-  const bool effective = execute_encounter(u, v, had_edge);
-  if (!effective) tables_dirty_ = true;  // impossible if the tables are sound
-
-  bool has_edge = had_edge;
-  for (const WorldMutationLog::Entry& entry : log_.entries) {
-    if (entry.kind == WorldMutationLog::Kind::kEdgeOn) has_edge = true;
-    if (entry.kind == WorldMutationLog::Kind::kEdgeOff) has_edge = false;
+  // The encounter can only flip {u, v}, so the active-edge count's move is
+  // its edge outcome -- no probe of the world needed.
+  const std::int64_t edges_before = w.active_edge_count();
+  if (!execute_encounter(u, v, had_edge)) {
+    synced_version_ = kNeverSynced;  // impossible if the tables are sound
+    return;
   }
-  log_.clear();
+  const bool has_edge = had_edge != (w.active_edge_count() != edges_before);
 
   const StateId na = w.state(u);
   const StateId nb = w.state(v);
@@ -559,10 +475,11 @@ void CensusEngine::execute_and_update(int u, int v, std::uint32_t slot) {
   if (sb != sa) touch_state_classes(sb);
   if (na != sa && na != sb) touch_state_classes(na);
   if (nb != sa && nb != sb && nb != na) touch_state_classes(nb);
+  synced_version_ = w.version();
 }
 
 CensusEngine::StepOutcome CensusEngine::census_step(std::uint64_t budget) {
-  if (tables_dirty_ || !log_.clean()) sync_tables();
+  sync_tables();
   // m counts the effective pairs among alive nodes; the model's weights are
   // strictly positive over *all* pairs (dead ones included -- the naive
   // scheduler burns steps on those too), so the scheduler-weighted
@@ -713,7 +630,6 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
     std::uint64_t registry_id = 0;
     std::uint64_t publishes = 0;
     telemetry::Counter* full_rebuilds = nullptr;
-    telemetry::Counter* delta_updates = nullptr;
     telemetry::Counter* alias_rebuilds = nullptr;
     telemetry::Counter* skips = nullptr;
     telemetry::Counter* samples = nullptr;
@@ -725,7 +641,6 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
   thread_local Handles handles;
   if (handles.registry_id != registry.id()) {
     handles.full_rebuilds = &registry.counter("census.full_rebuilds");
-    handles.delta_updates = &registry.counter("census.delta_updates");
     handles.alias_rebuilds = &registry.counter("census.alias_rebuilds");
     handles.skips = &registry.counter("census.geometric_skips");
     handles.samples = &registry.counter("census.effective_samples");
@@ -737,7 +652,6 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
     handles.registry_id = registry.id();
   }
   handles.full_rebuilds->add(stats_.full_rebuilds);
-  handles.delta_updates->add(stats_.delta_updates);
   handles.alias_rebuilds->add(stats_.alias_rebuilds);
   handles.skips->add(stats_.geometric_skips);
   handles.samples->add(stats_.effective_samples);
@@ -809,9 +723,6 @@ std::string CensusEngine::debug_table_snapshot() {
   return out;
 }
 
-void CensusEngine::debug_force_full_rebuild() {
-  tables_dirty_ = true;
-  sync_tables();
-}
+void CensusEngine::debug_force_full_rebuild() { rebuild_tables(); }
 
 }  // namespace netcons

@@ -55,11 +55,11 @@
 // re-snapshotted when the dirty set or the correction terms grow past
 // fixed fractions, so draws are O(1) expected even for large |Q|^2.
 //
-// External mutation through mutable_world() no longer invalidates the
-// tables wholesale: a WorldMutationLog journals every mutation the engine
-// did not perform itself, and the journal replays as exact O(1)-per-entry
-// deltas before the next sampled step (a full rebuild only happens if the
-// journal overflows, e.g. after a long naive-fallback phase).
+// The tables mirror one World::version(): the engine records the version
+// after every rebuild and after each of its own encounters, so any
+// mutation it did not make itself -- a custom initializer, a fault, a
+// test holding mutable_world() across steps -- leaves the world ahead of
+// the tables, and the next sampled step pays one full rebuild.
 //
 // Exactness boundaries (the engine falls back -- one stderr note, never a
 // throw -- to the inherited naive per-step semantics):
@@ -68,10 +68,10 @@
 //   * an installed StepInterceptor (fault injection): hooks must observe
 //     every step, which skipping contradicts. Census sampling resumes when
 //     the interceptor is cleared (skipping is memoryless, so resuming
-//     mid-run stays exact), replaying the fault phase's mutations from the
-//     journal when it fits. Under an interceptor a weight-model scheduler
-//     runs naive per-step with its own next(), so the fault phase sees the
-//     scheduler's exact (history-dependent) law.
+//     mid-run stays exact) after one full rebuild, since the per-step
+//     phase moved the world's version. Under an interceptor a
+//     weight-model scheduler runs naive per-step with its own next(), so
+//     the fault phase sees the scheduler's exact (history-dependent) law.
 #pragma once
 
 #include "core/simulator.hpp"
@@ -103,7 +103,6 @@ class CensusEngine final : public Simulator {
   /// merging). Exposed for the unit tests.
   struct Stats {
     std::uint64_t full_rebuilds = 0;      ///< Full census-table rebuilds.
-    std::uint64_t delta_updates = 0;      ///< Journal entries replayed as O(1) deltas.
     std::uint64_t alias_rebuilds = 0;     ///< Alias-table re-snapshots.
     std::uint64_t geometric_skips = 0;    ///< Ineffective steps skipped wholesale.
     std::uint64_t effective_samples = 0;  ///< Census-sampled effective encounters.
@@ -118,15 +117,11 @@ class CensusEngine final : public Simulator {
   /// naive fallback for the engine's whole lifetime.
   CensusEngine(Protocol protocol, int n, std::uint64_t seed,
                std::unique_ptr<Scheduler> scheduler = nullptr);
-  // The world's mutation log and weight_model_ point into this object.
+  // weight_model_ may point into this object.
   CensusEngine(const CensusEngine&) = delete;
   CensusEngine& operator=(const CensusEngine&) = delete;
 
   [[nodiscard]] const char* engine_name() const noexcept override { return "census"; }
-
-  /// External mutations are journaled (WorldMutationLog) and replayed as
-  /// exact deltas before the next sampled step.
-  [[nodiscard]] World& mutable_world() noexcept override { return Simulator::mutable_world(); }
 
   /// A non-null interceptor switches to exact per-step execution (with a
   /// one-line stderr note, once per process); clearing it resumes census
@@ -140,10 +135,10 @@ class CensusEngine final : public Simulator {
   [[nodiscard]] ConvergenceReport run_until_stable(const StabilityOptions& options) override;
   using Engine::run_until_stable;
 
-  /// O(1) while the census tables are in sync; otherwise the
-  /// inherited O(n^2) scan (a const method cannot replay the journal).
+  /// O(1) while the census tables mirror the world's version; otherwise
+  /// the inherited O(n^2) scan (a const method cannot rebuild them).
   [[nodiscard]] bool is_quiescent() const override {
-    if (!tables_dirty_ && log_.clean()) return total_weight_ == 0;
+    if (synced_version_ == world().version()) return total_weight_ == 0;
     return Simulator::is_quiescent();
   }
 
@@ -161,14 +156,14 @@ class CensusEngine final : public Simulator {
   }
 
   /// Total multiplicity W of effective pairs in the current configuration
-  /// (replays the journal first). W == 0 iff the configuration is
+  /// (syncs the tables first). W == 0 iff the configuration is
   /// quiescent -- the O(1) form of Engine::is_quiescent.
   [[nodiscard]] std::uint64_t effective_pair_weight();
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
   /// Publishes the inherited engine.* counters plus the census.* family
-  /// (full_rebuilds / delta_updates / alias_rebuilds / geometric_skips /
+  /// (full_rebuilds / alias_rebuilds / geometric_skips /
   /// effective_samples, and the census.weighted_* counters when the
   /// scheduler exported its own weight model) and the
   /// census.bucket_occupancy histogram (active-edge bucket sizes over the
@@ -214,10 +209,8 @@ class CensusEngine final : public Simulator {
   // --- table lifecycle ---
   /// Rebuild the tables from the world, ending with fresh weights.
   void rebuild_tables();
-  /// Bring the tables in line with the world: full rebuild if flagged or
-  /// the journal overflowed, otherwise exact per-entry journal replay.
+  /// Rebuild unless the tables already mirror the world's version.
   void sync_tables();
-  void apply_log_entry(const WorldMutationLog::Entry& entry);
   /// Recompute every class weight from the tables.
   void refresh_weights();
 
@@ -231,7 +224,6 @@ class CensusEngine final : public Simulator {
   void rebucket_edge(std::uint32_t slot);
   [[nodiscard]] std::uint32_t find_edge_slot(int u, int v) const noexcept;
   void node_list_move(int u, StateId from, StateId to);
-  void node_list_remove(int u, StateId from);
 
   // --- alias table / weight maintenance ---
   /// Recompute one class's weight and fold the change into the running
@@ -265,12 +257,13 @@ class CensusEngine final : public Simulator {
   /// (non-owning; the scheduler outlives every step). nullptr for a
   /// model-less scheduler, which keeps the naive fallback for good.
   const SchedulerWeightModel* weight_model_ = nullptr;
-  bool tables_dirty_ = true;
+  /// The World::version() the tables mirror; kNeverSynced forces the next
+  /// sync to rebuild.
+  static constexpr std::uint64_t kNeverSynced = ~std::uint64_t{0};
+  std::uint64_t synced_version_ = kNeverSynced;
   bool alias_built_ = false;
 
   Stats stats_;
-
-  WorldMutationLog log_;
 
   std::vector<EffectiveClass> classes_;
   /// classes_by_state_[q] = indices of classes whose (a, b) contains q; a

@@ -5,19 +5,8 @@
 
 namespace netcons {
 
-World::World(const Protocol& protocol, int n, EdgeStorage storage) : n_(n) {
+World::World(const Protocol& protocol, int n) : n_(n), sparse_(n > kDenseNodeLimit) {
   if (n < 1) throw std::invalid_argument("World: need at least one node");
-  switch (storage) {
-    case EdgeStorage::kDense:
-      sparse_ = false;
-      break;
-    case EdgeStorage::kSparse:
-      sparse_ = true;
-      break;
-    case EdgeStorage::kAuto:
-      sparse_ = n > kDenseNodeLimit;
-      break;
-  }
   states_.assign(static_cast<std::size_t>(n), protocol.initial_state());
   if (sparse_) {
     adj_inline_.assign(static_cast<std::size_t>(n) * kInlineNeighbors, 0);
@@ -93,9 +82,7 @@ void World::set_state(int u, StateId s) {
   if (!alive(u)) throw std::logic_error("World::set_state: node is crashed");
   StateId& cur = states_[static_cast<std::size_t>(u)];
   if (cur == s) return;
-  if (log_ != nullptr && !log_->suspended) {
-    log_->record(WorldMutationLog::Kind::kSetState, u, -1, cur, s);
-  }
+  ++version_;
   --census_[static_cast<std::size_t>(cur)];
   ++census_[static_cast<std::size_t>(s)];
   cur = s;
@@ -112,9 +99,7 @@ void World::kill(int u) {
       if (v != u && edge(u, v)) set_edge(u, v, false);
     }
   }
-  if (log_ != nullptr && !log_->suspended) {
-    log_->record(WorldMutationLog::Kind::kKill, u, -1, states_[static_cast<std::size_t>(u)]);
-  }
+  ++version_;
   --census_[static_cast<std::size_t>(states_[static_cast<std::size_t>(u)])];
   if (dead_.empty()) dead_.assign(static_cast<std::size_t>(n_), 0);
   dead_[static_cast<std::size_t>(u)] = 1;
@@ -139,10 +124,7 @@ bool World::set_edge(int u, int v, bool active) {
       sparse_remove(v, u);
     }
   }
-  if (log_ != nullptr && !log_->suspended) {
-    log_->record(active ? WorldMutationLog::Kind::kEdgeOn : WorldMutationLog::Kind::kEdgeOff, u, v,
-                 0);
-  }
+  ++version_;
   const int delta = active ? 1 : -1;
   degree_[static_cast<std::size_t>(u)] += delta;
   degree_[static_cast<std::size_t>(v)] += delta;

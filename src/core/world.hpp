@@ -2,19 +2,22 @@
 // bookkeeping (active degrees, per-state census) that protocols' stability
 // certificates and the simulator's output tracking rely on.
 //
-// Two web-scale hooks live here because only the World sees every mutation:
+// Two web-scale concerns live here because only the World sees every
+// mutation:
 //
 //  * Edge storage is dense (triangular bitset, the historical layout) up to
 //    kDenseNodeLimit nodes and switches to per-node sorted adjacency above
 //    it: the bitset is Theta(n^2) bits regardless of occupancy, which is
-//    625 MB at n = 10^5 and 62 GB at n = 10^6, while the paper's protocols
-//    keep O(n) edges alive. Every query keeps its contract; edge() costs a
-//    bit probe dense and a binary search over a (typically tiny) adjacency
-//    list sparse.
-//  * An optional WorldMutationLog records every successful mutation so an
-//    observer that mirrors the configuration (CensusEngine's census tables)
-//    can apply exact O(1)-per-entry deltas instead of rebuilding from
-//    scratch whenever someone touched the world behind its back.
+//    625 MB at n = 10^5 and 62 GB at n = 10^6, while the active edge count
+//    m stays far below n^2 -- Cycle-Cover holds at most n, and
+//    Global-Star's transient peaks at a slowly growing multiple of n
+//    (7.2n, 8.9n and 11.6n measured at n = 2^10, 2^12, 2^14 under census
+//    sampling). Every query keeps its contract; edge() costs a bit probe
+//    dense and a binary search over a (typically tiny) adjacency list
+//    sparse.
+//  * version() counts successful mutations, so an observer that mirrors
+//    the configuration (CensusEngine's census tables) can tell in O(1)
+//    whether anyone touched the world since it last synced.
 #pragma once
 
 #include "core/protocol.hpp"
@@ -28,61 +31,16 @@
 
 namespace netcons {
 
-/// Append-only journal of world mutations, in application order. Attached
-/// by an observer via World::set_mutation_log; the World records every
-/// *successful* mutation (no-ops are not logged) until `capacity` entries,
-/// after which it stops recording and raises `overflowed` -- the observer
-/// then falls back to a full resync. `suspended` lets the observer mute
-/// logging across mutations it performs (and mirrors) itself.
-struct WorldMutationLog {
-  enum class Kind : std::uint8_t {
-    kSetState,  ///< u changed state; prev is the state before.
-    kEdgeOn,    ///< edge {u, v} became active.
-    kEdgeOff,   ///< edge {u, v} became inactive.
-    kKill       ///< u crashed (its incident kEdgeOff entries precede this).
-  };
-  struct Entry {
-    Kind kind = Kind::kSetState;
-    std::int32_t u = 0;
-    std::int32_t v = 0;
-    StateId prev = 0;  ///< kSetState / kKill: the state before.
-    StateId next = 0;  ///< kSetState: the state after.
-  };
-
-  std::vector<Entry> entries;
-  std::size_t capacity = 4096;
-  bool overflowed = false;
-  bool suspended = false;
-
-  void record(Kind kind, int u, int v, StateId prev, StateId next = 0) {
-    if (overflowed) return;
-    if (entries.size() >= capacity) {
-      overflowed = true;
-      return;
-    }
-    entries.push_back(
-        {kind, static_cast<std::int32_t>(u), static_cast<std::int32_t>(v), prev, next});
-  }
-  void clear() noexcept {
-    entries.clear();
-    overflowed = false;
-  }
-  [[nodiscard]] bool clean() const noexcept { return entries.empty() && !overflowed; }
-};
-
 class World {
  public:
-  /// Edge-storage strategy; kAuto picks dense up to kDenseNodeLimit nodes.
-  enum class EdgeStorage { kAuto, kDense, kSparse };
-
-  /// Largest population the dense triangular bitset is allowed to serve
-  /// under kAuto (pair_count(2^15) is 64 MB of bits; the next doubling
-  /// would be 256 MB for what the paper's protocols use as O(n) edges).
+  /// Largest population the dense triangular bitset serves; above it edges
+  /// live in per-node sorted adjacency (pair_count(2^15) is 64 MB of bits,
+  /// the next doubling would be 256 MB).
   static constexpr int kDenseNodeLimit = 1 << 15;
 
   World() = default;
   /// All nodes in q0, all edges inactive -- the model's initial configuration.
-  World(const Protocol& protocol, int n, EdgeStorage storage = EdgeStorage::kAuto);
+  World(const Protocol& protocol, int n);
 
   [[nodiscard]] int size() const noexcept { return n_; }
 
@@ -102,9 +60,11 @@ class World {
   /// triangular bitset (false).
   [[nodiscard]] bool sparse_edges() const noexcept { return sparse_; }
 
-  /// Attach (or detach, with nullptr) a mutation journal. Not owned.
-  void set_mutation_log(WorldMutationLog* log) noexcept { log_ = log; }
-  [[nodiscard]] WorldMutationLog* mutation_log() const noexcept { return log_; }
+  /// Mutation counter: set_state, set_edge and kill bump it on every
+  /// successful mutation (no-ops leave it alone), so an observer that
+  /// mirrors the configuration knows it is current iff the version it
+  /// last synced to is still this one.
+  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
   /// Nodes still participating (size() minus crashed nodes).
   [[nodiscard]] int alive_count() const noexcept { return n_ - dead_count_; }
@@ -228,7 +188,7 @@ class World {
   std::vector<int> degree_;
   std::vector<int> census_;
   std::vector<char> dead_;  ///< Allocated on first kill(); empty when all alive.
-  WorldMutationLog* log_ = nullptr;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace netcons

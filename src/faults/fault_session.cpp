@@ -14,15 +14,13 @@ namespace {
 
 /// Active edges with both endpoints alive (the kill() invariant guarantees
 /// dead nodes are edge-free, so aliveness needs no re-check here).
+/// Active edges in World::for_each_active_edge order: pair_index order
+/// (v-major, then u) up to World::kDenseNodeLimit nodes, adjacency order
+/// above it.
 std::vector<std::pair<int, int>> active_edge_list(const World& world) {
   std::vector<std::pair<int, int>> out;
   out.reserve(static_cast<std::size_t>(world.active_edge_count()));
-  const int n = world.size();
-  for (int v = 1; v < n; ++v) {
-    for (int u = 0; u < v; ++u) {
-      if (world.edge(u, v)) out.emplace_back(u, v);
-    }
-  }
+  world.for_each_active_edge([&](int u, int v) { out.emplace_back(u, v); });
   return out;
 }
 
@@ -97,12 +95,9 @@ void select_victims(std::vector<int>& pool, std::size_t count, VictimTarget targ
 
 std::uint64_t output_edge_count(const Protocol& protocol, const World& world) {
   std::uint64_t count = 0;
-  const int n = world.size();
-  for (int v = 1; v < n; ++v) {
-    for (int u = 0; u < v; ++u) {
-      if (world.edge(u, v) && is_output_edge(protocol, world, u, v)) ++count;
-    }
-  }
+  world.for_each_active_edge([&](int u, int v) {
+    if (is_output_edge(protocol, world, u, v)) ++count;
+  });
   return count;
 }
 

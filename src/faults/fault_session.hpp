@@ -20,7 +20,8 @@
 namespace netcons::faults {
 
 /// Number of G(C) edges (active edges whose endpoints are both alive output
-/// nodes). O(n^2); called only around fault firings, never per step.
+/// nodes). O(n^2 / 64 + m) through World::for_each_active_edge; called only
+/// around fault firings, never per step.
 [[nodiscard]] std::uint64_t output_edge_count(const Protocol& protocol, const World& world);
 
 /// Stream tag separating the fault generator's seed from the simulator's

@@ -2,8 +2,9 @@
 // row per node. This is the "output graph" type extracted from
 // configurations and the input type of every topology predicate, so every
 // walk over it -- neighbors, edges(), components() -- is O(n + m) in time
-// and memory: the paper's protocols keep O(n) edges alive, and a target
-// check at n = 10^6 must not pay for the n^2/2 pairs that are off.
+// and memory: the paper's protocols keep m far below n^2 (Cycle-Cover at
+// most n, Global-Star a transient ~7-12 n at n = 2^10 .. 2^14), and a
+// target check at n = 10^6 must not pay for the n^2/2 pairs that are off.
 #pragma once
 
 #include <cstdint>

@@ -153,6 +153,32 @@ TEST(Scheduler, PollTracksLifecycleAndRejectsUnknownIds) {
   EXPECT_NE(scheduler.artifact_path(submitted.id, "summary.json"), "");
 }
 
+TEST(Scheduler, RelativeCacheDirYieldsAbsoluteRecordsDir) {
+  // A status document's records_dir must be usable from any directory, so
+  // a relative cache root is resolved once, when the scheduler starts.
+  const ScratchCache scratch;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  Scheduler::Options options = cache_options(scratch);
+  options.cache_dir = std::filesystem::relative(scratch.path).string();
+  ASSERT_TRUE(std::filesystem::path(options.cache_dir).is_relative());
+  options.executor = [&](const CampaignSpec& spec, const RunOptions& run_options) {
+    released.wait();
+    return run(spec, run_options);
+  };
+  Scheduler scheduler(options);
+
+  const Scheduler::Submitted submitted = scheduler.submit(tiny_campaign());
+  const std::optional<JobStatus> early = scheduler.poll(submitted.id);
+  release.set_value();
+  ASSERT_TRUE(early.has_value());
+  const std::filesystem::path records(early->records_dir);
+  EXPECT_TRUE(records.is_absolute()) << early->records_dir;
+  EXPECT_EQ(std::filesystem::weakly_canonical(records),
+            std::filesystem::weakly_canonical(scratch.path / "jobs" / submitted.id / "records"));
+  EXPECT_EQ(scheduler.wait(submitted.id).state, JobState::kDone);
+}
+
 TEST(Scheduler, ServesRepeatSubmitsFromCacheAcrossInstances) {
   const ScratchCache scratch;
   std::atomic<int> executions{0};

@@ -1,8 +1,8 @@
 // Web-scale census machinery: the alias/mixture class sampler against an
-// independent linear scan, delta-updated SoA tables against from-scratch
-// rebuilds, the mutation journal (O(1) external deltas, overflow
-// fallback), and the sparse World edge storage that serves populations
-// past the dense-bitset budget.
+// independent linear scan, incrementally updated SoA tables against
+// from-scratch rebuilds, the World::version() sync rule (outside mutations
+// and interceptor phases cost one rebuild), and the sparse World edge
+// storage that serves populations past the dense-bitset budget.
 #include "core/census_engine.hpp"
 
 #include "campaign/registry.hpp"
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -115,12 +116,13 @@ TEST(CensusAlias, DrawsMatchLinearScanDistribution) {
   }
 }
 
-// --- delta updates vs from-scratch rebuild ---------------------------------
+// --- incremental updates vs from-scratch rebuild ---------------------------
 
 TEST(CensusDeltas, InterleavedStepsAndMutationsMatchFromScratchRebuild) {
   // Random interleaving of census-sampled steps, external edge flips,
-  // external state writes, and crash faults; the delta-updated tables must
-  // render byte-identically to a from-scratch rebuild of the same world.
+  // external state writes, and crash faults through one World& held across
+  // run() calls; the incrementally updated tables must render
+  // byte-identically to a from-scratch rebuild of the same world.
   const ProtocolSpec spec = *campaign::make_protocol("global-star");
   const int n = 40;
   CensusEngine engine(spec.protocol, n, 77);
@@ -128,9 +130,9 @@ TEST(CensusDeltas, InterleavedStepsAndMutationsMatchFromScratchRebuild) {
   std::vector<int> alive(n);
   for (int u = 0; u < n; ++u) alive[u] = u;
 
+  World& w = engine.mutable_world();
   for (int round = 0; round < 40; ++round) {
     engine.run(25);
-    World& w = engine.mutable_world();
     for (int m = 0; m < 3; ++m) {
       const int u = alive[mix() % alive.size()];
       int v = alive[mix() % alive.size()];
@@ -154,125 +156,130 @@ TEST(CensusDeltas, InterleavedStepsAndMutationsMatchFromScratchRebuild) {
     }
   }
 
-  EXPECT_GT(engine.stats().delta_updates, 0u);
   EXPECT_EQ(engine.debug_class_weights(), linear_scan_weights(spec.protocol, engine.world()));
   const std::string delta_view = engine.debug_table_snapshot();
   engine.debug_force_full_rebuild();
   EXPECT_EQ(delta_view, engine.debug_table_snapshot());
 }
 
-TEST(CensusDeltas, ExternalMutationIsSingleDeltaNotRebuild) {
-  // The PR-5 behavior -- mutable_world() marks everything dirty and the
-  // next step pays a full rebuild -- is gone: one external mutation is one
-  // journal entry replayed as one O(1) delta.
+/// Counts the steps it observes; mutates nothing.
+struct CountingInterceptor final : StepInterceptor {
+  int calls = 0;
+  void before_step(Engine&) override { ++calls; }
+};
+
+TEST(CensusDeltas, SamplingResumesAfterInterceptorWithOneRebuild) {
+  // The naive per-step phase under an interceptor moves the world past the
+  // tables; clearing the interceptor must cost exactly one full rebuild,
+  // after which census sampling resumes on tables equal to a from-scratch
+  // rebuild.
   const ProtocolSpec spec = *campaign::make_protocol("global-star");
-  const int n = 32;
-  CensusEngine engine(spec.protocol, n, 31);
-  const ConvergenceReport report = engine.run_until_stable();
-  ASSERT_TRUE(report.stabilized);
-  ASSERT_EQ(engine.effective_pair_weight(), 0u);
+  CensusEngine engine(spec.protocol, 40, 5);
+  engine.run(200);
+  ASSERT_GT(engine.stats().effective_samples, 0u);
 
-  int center = 0;
-  for (int u = 0; u < n; ++u) {
-    if (engine.world().active_degree(u) == n - 1) center = u;
-  }
-  const int peripheral = center == 0 ? 1 : 0;
-
+  CountingInterceptor interceptor;
+  engine.set_interceptor(&interceptor);
   const std::uint64_t rebuilds_before = engine.stats().full_rebuilds;
-  const std::uint64_t deltas_before = engine.stats().delta_updates;
-  engine.mutable_world().set_edge(center, peripheral, false);
-  // Severing one spoke leaves exactly one effective pair: re-linking it.
-  EXPECT_EQ(engine.effective_pair_weight(), 1u);
-  EXPECT_EQ(engine.stats().full_rebuilds, rebuilds_before);
-  EXPECT_EQ(engine.stats().delta_updates, deltas_before + 1);
+  const std::uint64_t samples_before = engine.stats().effective_samples;
+  const std::uint64_t effective_before = engine.effective_steps();
+  engine.run(2000);
+  EXPECT_EQ(interceptor.calls, 2000);
+  ASSERT_GT(engine.effective_steps(), effective_before);  // the world moved
+  EXPECT_EQ(engine.stats().effective_samples, samples_before);
+  engine.set_interceptor(nullptr);
 
-  // And the engine repairs the damage from the delta-updated tables.
-  const ConvergenceReport again = engine.run_until_stable();
-  EXPECT_TRUE(again.stabilized);
-  EXPECT_TRUE(spec.target(engine.world().output_graph(spec.protocol)));
-}
-
-TEST(CensusDeltas, JournalOverflowFallsBackToOneFullRebuild) {
-  const ProtocolSpec spec = *campaign::make_protocol("global-star");
-  const int n = 16;
-  CensusEngine engine(spec.protocol, n, 9);
-  ASSERT_TRUE(engine.run_until_stable().stabilized);
-  (void)engine.effective_pair_weight();  // drain the journal
-
-  const std::uint64_t rebuilds_before = engine.stats().full_rebuilds;
-  World& w = engine.mutable_world();
-  int a = 1;
-  int b = 2;
-  if (w.active_degree(1) == n - 1) a = 3;  // two peripherals, never the center
-  if (w.active_degree(2) == n - 1) b = 4;
-  // One entry per flip; the journal capacity at n = 16 is 1024 entries.
-  for (int i = 0; i < 1200; ++i) w.set_edge(a, b, !w.edge(a, b));
-
-  EXPECT_TRUE(w.mutation_log()->overflowed);
-  const std::uint64_t weight = engine.effective_pair_weight();
+  engine.run(2000);
   EXPECT_EQ(engine.stats().full_rebuilds, rebuilds_before + 1);
-  EXPECT_EQ(engine.debug_class_weights(), linear_scan_weights(spec.protocol, engine.world()));
-  EXPECT_EQ(weight, engine.effective_pair_weight());
+  EXPECT_GT(engine.stats().effective_samples, samples_before);
+  EXPECT_EQ(interceptor.calls, 2000);
+  const std::string resumed_view = engine.debug_table_snapshot();
+  EXPECT_EQ(engine.stats().full_rebuilds, rebuilds_before + 1);
+  engine.debug_force_full_rebuild();
+  EXPECT_EQ(resumed_view, engine.debug_table_snapshot());
 }
 
 // --- sparse edge storage ---------------------------------------------------
 
-TEST(SparseWorld, MirrorsDenseUnderRandomMutations) {
+/// Random set_edge / kill on `nodes` (indices into a World of size n),
+/// checked against a std::set reference after every mutation batch: edge,
+/// active_degree, active_neighbors and for_each_active_edge must agree.
+void check_world_against_reference(int n, const std::vector<int>& nodes, bool sparse) {
   const ProtocolSpec spec = *campaign::make_protocol("cycle-cover");
-  const int n = 48;
-  World dense(spec.protocol, n, World::EdgeStorage::kDense);
-  World sparse(spec.protocol, n, World::EdgeStorage::kSparse);
-  ASSERT_FALSE(dense.sparse_edges());
-  ASSERT_TRUE(sparse.sparse_edges());
+  World w(spec.protocol, n);
+  ASSERT_EQ(w.sparse_edges(), sparse);
+
+  std::set<std::pair<int, int>> ref;  // (u, v), u < v
+  std::vector<int> alive = nodes;
+  const auto check = [&] {
+    EXPECT_EQ(w.active_edge_count(), static_cast<std::int64_t>(ref.size()));
+    std::set<std::pair<int, int>> seen;
+    w.for_each_active_edge([&](int u, int v) {
+      EXPECT_LT(u, v);
+      EXPECT_TRUE(seen.emplace(u, v).second) << "edge visited twice";
+    });
+    EXPECT_EQ(seen, ref);
+    for (const int u : nodes) {
+      std::vector<int> want;
+      for (const auto& [a, b] : ref) {
+        if (a == u) want.push_back(b);
+        if (b == u) want.push_back(a);
+      }
+      std::sort(want.begin(), want.end());
+      std::vector<int> got = w.active_neighbors(u);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << "node " << u;
+      EXPECT_EQ(w.active_degree(u), static_cast<int>(want.size())) << "node " << u;
+      for (const int v : nodes) {
+        if (v == u) continue;
+        EXPECT_EQ(w.edge(u, v), ref.count({std::min(u, v), std::max(u, v)}) == 1)
+            << "pair " << u << "," << v;
+      }
+    }
+  };
 
   std::mt19937 mix(99);
-  std::vector<int> alive(n);
-  for (int u = 0; u < n; ++u) alive[u] = u;
-  for (int op = 0; op < 2000; ++op) {
+  for (int op = 0; op < 3000; ++op) {
     const int u = alive[mix() % alive.size()];
     int v = alive[mix() % alive.size()];
     while (v == u) v = alive[mix() % alive.size()];
-    switch (mix() % 8) {
-      case 0:
-        dense.set_state(u, static_cast<StateId>(mix() % spec.protocol.state_count()));
-        sparse.set_state(u, dense.state(u));
-        break;
-      case 1:
-        if (alive.size() > 8) {
-          dense.kill(u);
-          sparse.kill(u);
-          alive.erase(std::find(alive.begin(), alive.end(), u));
-          break;
-        }
-        [[fallthrough]];
-      default: {
-        const bool on = (mix() % 3) != 0;  // bias toward building edges
-        EXPECT_EQ(dense.set_edge(u, v, on), sparse.set_edge(u, v, on));
-        break;
-      }
+    if (mix() % 64 == 0 && alive.size() > 8) {
+      w.kill(u);
+      std::erase_if(ref, [u](const std::pair<int, int>& e) { return e.first == u || e.second == u; });
+      alive.erase(std::find(alive.begin(), alive.end(), u));
+    } else {
+      const bool on = (mix() % 3) != 0;  // bias toward building edges
+      const std::pair<int, int> key{std::min(u, v), std::max(u, v)};
+      const bool changed = on ? ref.insert(key).second : ref.erase(key) == 1;
+      EXPECT_EQ(w.set_edge(u, v, on), changed);
     }
+    if (op % 500 == 499) check();
   }
+  // Hub nodes past the sparse layout's inline block, then back below it.
+  const int hub = alive.front();
+  for (const int v : alive) {
+    if (v != hub && w.set_edge(hub, v, true)) ref.emplace(std::min(hub, v), std::max(hub, v));
+  }
+  check();
+  for (const int v : alive) {
+    if (v != hub && w.set_edge(hub, v, false)) ref.erase({std::min(hub, v), std::max(hub, v)});
+  }
+  check();
+}
 
-  EXPECT_EQ(dense.active_edge_count(), sparse.active_edge_count());
-  EXPECT_EQ(dense.alive_count(), sparse.alive_count());
-  std::vector<std::pair<int, int>> dense_edges;
-  std::vector<std::pair<int, int>> sparse_edges;
-  dense.for_each_active_edge([&](int u, int v) { dense_edges.emplace_back(u, v); });
-  sparse.for_each_active_edge([&](int u, int v) { sparse_edges.emplace_back(u, v); });
-  std::sort(dense_edges.begin(), dense_edges.end());
-  std::sort(sparse_edges.begin(), sparse_edges.end());
-  EXPECT_EQ(dense_edges, sparse_edges);
-  for (int u = 0; u < n; ++u) {
-    EXPECT_EQ(dense.active_degree(u), sparse.active_degree(u));
-    EXPECT_EQ(dense.edge(u, (u + 1) % n), sparse.edge(u, (u + 1) % n));
-    std::vector<int> dn = dense.active_neighbors(u);
-    std::vector<int> sn = sparse.active_neighbors(u);
-    std::sort(dn.begin(), dn.end());
-    std::sort(sn.begin(), sn.end());
-    EXPECT_EQ(dn, sn) << "node " << u;
-  }
-  EXPECT_EQ(dense.active_graph(), sparse.active_graph());
-  EXPECT_EQ(dense.output_graph(spec.protocol), sparse.output_graph(spec.protocol));
+TEST(SparseWorld, DenseStorageMatchesReferenceUnderRandomMutations) {
+  std::vector<int> nodes(64);
+  for (int i = 0; i < 64; ++i) nodes[static_cast<std::size_t>(i)] = i;
+  check_world_against_reference(64, nodes, /*sparse=*/false);
+}
+
+TEST(SparseWorld, SparseStorageMatchesReferenceUnderRandomMutations) {
+  // Mutations on a 64-node subset spread over the whole id range, so both
+  // extremes of the adjacency layout are exercised.
+  const int n = World::kDenseNodeLimit + 1;
+  std::vector<int> nodes(64);
+  for (int i = 0; i < 64; ++i) nodes[static_cast<std::size_t>(i)] = i * (n - 1) / 63;
+  check_world_against_reference(n, nodes, /*sparse=*/true);
 }
 
 TEST(SparseWorld, DenseEdgeIterationInvertsPairIndexCorrectly) {
@@ -281,7 +288,7 @@ TEST(SparseWorld, DenseEdgeIterationInvertsPairIndexCorrectly) {
   // extremes of each row.
   const ProtocolSpec spec = *campaign::make_protocol("cycle-cover");
   const int n = 2000;
-  World w(spec.protocol, n, World::EdgeStorage::kDense);
+  World w(spec.protocol, n);
   const std::vector<std::pair<int, int>> probes = {
       {0, 1}, {0, 2}, {1, 2}, {0, n - 1}, {n - 2, n - 1}, {500, 501}, {0, 1023}, {1023, 1999}};
   for (const auto& [u, v] : probes) w.set_edge(u, v, true);

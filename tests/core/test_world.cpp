@@ -154,5 +154,21 @@ TEST(World, KillTwiceOrMutateDeadNodeThrows) {
   EXPECT_THROW(w.set_state(1, 1), std::logic_error);
 }
 
+TEST(World, VersionCountsSuccessfulMutationsOnly) {
+  World w(two_state(), 4);
+  EXPECT_EQ(w.version(), 0u);
+  w.set_state(0, 0);  // already in state 0
+  EXPECT_FALSE(w.set_edge(0, 1, false));
+  EXPECT_EQ(w.version(), 0u);
+  w.set_state(0, 1);
+  EXPECT_EQ(w.version(), 1u);
+  EXPECT_TRUE(w.set_edge(0, 1, true));
+  EXPECT_FALSE(w.set_edge(1, 0, true));
+  EXPECT_EQ(w.version(), 2u);
+  // kill = one edge deletion per incident edge, then the crash itself.
+  w.kill(1);
+  EXPECT_EQ(w.version(), 4u);
+}
+
 }  // namespace
 }  // namespace netcons
