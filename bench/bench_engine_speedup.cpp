@@ -16,9 +16,10 @@
 // --scaling -- the web-scale curve: ns per effective interaction for the
 // census engine on Simple-Global-Line over
 // n in {2^8 .. 2^16}, each point a run bounded to --scaling-eff effective
-// interactions (the whole curve costs seconds; the top points cross
-// World::kDenseNodeLimit, so the sparse edge storage is on the measured
-// path). A near-flat curve is the point: per-interaction cost must not
+// interactions (the whole curve costs seconds; the points past
+// World::kDenseNodeLimit = 2^13 keep their edges in World's pair set
+// rather than the triangular bitset, so both storages are on the measured
+// path -- the "storage" column names which). A near-flat curve is the point: per-interaction cost must not
 // grow with the population. The in-binary gate fails if the largest-n
 // point exceeds --flat-factor times the n = 1024 point; the nightly
 // workflow additionally gates every point against the cached baseline
@@ -34,7 +35,7 @@
 //
 // --smoke N -- web-scale smoke (default 1000000): Cycle-Cover to
 // stabilization at n = N, target checked, plus a bounded-effective-
-// interaction Simple-Global-Line run, proving the sparse world, census
+// interaction Simple-Global-Line run, proving the pair-set world, census
 // tables and O(n + m) output graph operate at 10^6 nodes without carrying
 // the full Simple-Global-Line stabilization cost.
 //
@@ -117,7 +118,7 @@ int run_scaling(int min_exp, int max_exp, std::uint64_t eff_budget, double flat_
     const std::uint64_t point_seed = trial_seed(seed, static_cast<std::uint64_t>(exp));
     curve.push_back(measure_point(spec, n, eff_budget, point_seed));
     table.add_row({TextTable::integer(static_cast<std::uint64_t>(n)),
-                   n > World::kDenseNodeLimit ? "sparse" : "dense",
+                   n > World::kDenseNodeLimit ? "pair-set" : "bitset",
                    TextTable::num(curve.back().ns_per_effective, 1),
                    TextTable::integer(curve.back().effective)});
   }
@@ -207,7 +208,7 @@ void print_stabilization(const std::vector<StabilizationRun>& runs, int n) {
                                   0)});
   }
   std::cout << "n = " << n << " (storage: "
-            << (n > World::kDenseNodeLimit ? "sparse" : "dense") << ")\n"
+            << (n > World::kDenseNodeLimit ? "pair-set" : "bitset") << ")\n"
             << table << '\n';
 }
 

@@ -145,8 +145,12 @@ class Parser {
           case 'f': out += '\f'; break;
           case 'u': {
             if (pos_ + 4 > text_.size()) throw std::runtime_error("json: bad \\u");
-            const unsigned code = static_cast<unsigned>(
-                std::stoul(std::string(text_.substr(pos_, 4)), nullptr, 16));
+            unsigned code = 0;
+            for (const char h : text_.substr(pos_, 4)) {  // Exactly four hex digits.
+              const auto digit = static_cast<unsigned char>(h);
+              if (!std::isxdigit(digit)) throw std::runtime_error("json: bad \\u");
+              code = code * 16 + (std::isdigit(digit) ? digit - '0' : (digit | 0x20) - 'a' + 10);
+            }
             pos_ += 4;
             if (code > 0x7F) throw std::runtime_error("json: non-ASCII \\u unsupported");
             out += static_cast<char>(code);

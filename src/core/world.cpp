@@ -8,74 +8,72 @@ namespace netcons {
 World::World(const Protocol& protocol, int n) : n_(n), sparse_(n > kDenseNodeLimit) {
   if (n < 1) throw std::invalid_argument("World: need at least one node");
   states_.assign(static_cast<std::size_t>(n), protocol.initial_state());
-  if (sparse_) {
-    adj_inline_.assign(static_cast<std::size_t>(n) * kInlineNeighbors, 0);
-    adjacency_.assign(static_cast<std::size_t>(n), {});
-  } else {
-    edge_bits_.assign((pair_count(n) + 63) / 64, 0);
-  }
+  if (!sparse_) edge_bits_.assign((pair_count(n) + 63) / 64, 0);
   degree_.assign(static_cast<std::size_t>(n), 0);
   census_.assign(static_cast<std::size_t>(protocol.state_count()), 0);
   census_[protocol.initial_state()] = n;
 }
 
 bool World::sparse_edge(int u, int v) const noexcept {
-  // Probe the lower-degree endpoint.
-  if (degree_[static_cast<std::size_t>(v)] < degree_[static_cast<std::size_t>(u)]) std::swap(u, v);
-  const int d = degree_[static_cast<std::size_t>(u)];
-  if (d <= kInlineNeighbors) {
-    const std::size_t base = static_cast<std::size_t>(u) * kInlineNeighbors;
-    for (int i = 0; i < d; ++i) {
-      if (adj_inline_[base + static_cast<std::size_t>(i)] == static_cast<std::int32_t>(v)) {
-        return true;
-      }
-    }
-    return false;
-  }
-  const auto& adj = adjacency_[static_cast<std::size_t>(u)];
-  return std::binary_search(adj.begin(), adj.end(), static_cast<std::int32_t>(v));
+  return edge_set_.contains(pair_index(u, v));
 }
 
-void World::sparse_add(int u, int v) {
-  // Callers update degree_ afterwards, so degree_[u] is the pre-add count.
-  const int d = degree_[static_cast<std::size_t>(u)];
-  const std::size_t base = static_cast<std::size_t>(u) * kInlineNeighbors;
-  if (d < kInlineNeighbors) {
-    adj_inline_[base + static_cast<std::size_t>(d)] = static_cast<std::int32_t>(v);
-    return;
+bool World::PairSet::contains(std::uint64_t key) const noexcept {
+  if (size_ == 0) return false;
+  for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+    if (slots_[i] == key) return true;
+    if (slots_[i] == kEmpty) return false;
   }
-  auto& adj = adjacency_[static_cast<std::size_t>(u)];
-  if (d == kInlineNeighbors) {  // Spill: everyone moves to the sorted vector.
-    adj.assign(adj_inline_.begin() + static_cast<std::ptrdiff_t>(base),
-               adj_inline_.begin() + static_cast<std::ptrdiff_t>(base + kInlineNeighbors));
-    adj.push_back(static_cast<std::int32_t>(v));
-    std::sort(adj.begin(), adj.end());
-    return;
-  }
-  adj.insert(std::lower_bound(adj.begin(), adj.end(), static_cast<std::int32_t>(v)),
-             static_cast<std::int32_t>(v));
 }
 
-void World::sparse_remove(int u, int v) {
-  // Callers update degree_ afterwards, so degree_[u] is the pre-remove count.
-  const int d = degree_[static_cast<std::size_t>(u)];
-  const std::size_t base = static_cast<std::size_t>(u) * kInlineNeighbors;
-  if (d <= kInlineNeighbors) {
-    for (int i = 0; i < d; ++i) {
-      if (adj_inline_[base + static_cast<std::size_t>(i)] == static_cast<std::int32_t>(v)) {
-        adj_inline_[base + static_cast<std::size_t>(i)] =
-            adj_inline_[base + static_cast<std::size_t>(d - 1)];
-        return;
-      }
+bool World::PairSet::insert(std::uint64_t key) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    if (contains(key)) return false;
+    std::vector<std::uint64_t> old(std::max<std::size_t>(16, 2 * slots_.size()), kEmpty);
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    shift_ = 64 - std::countr_zero(slots_.size());
+    size_ = 0;
+    for (const std::uint64_t k : old) {
+      if (k != kEmpty) insert(k);
     }
-    return;  // unreachable for a recorded edge
   }
-  auto& adj = adjacency_[static_cast<std::size_t>(u)];
-  adj.erase(std::lower_bound(adj.begin(), adj.end(), static_cast<std::int32_t>(v)));
-  if (d - 1 == kInlineNeighbors) {  // Migrate home; clear() keeps the capacity.
-    std::copy(adj.begin(), adj.end(), adj_inline_.begin() + static_cast<std::ptrdiff_t>(base));
-    adj.clear();
+  std::size_t i = home(key);
+  for (; slots_[i] != kEmpty; i = (i + 1) & mask_) {
+    if (slots_[i] == key) return false;
   }
+  slots_[i] = key;
+  ++size_;
+  return true;
+}
+
+bool World::PairSet::erase(std::uint64_t key) {
+  if (size_ == 0) return false;
+  std::size_t hole = home(key);
+  for (; slots_[hole] != key; hole = (hole + 1) & mask_) {
+    if (slots_[hole] == kEmpty) return false;
+  }
+  // Backward shift: pull each later member of the probe run into the hole
+  // unless its home lies cyclically in (hole, j], where it must stay.
+  for (std::size_t j = (hole + 1) & mask_; slots_[j] != kEmpty; j = (j + 1) & mask_) {
+    if (((j - home(slots_[j])) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = kEmpty;
+  --size_;
+  return true;
+}
+
+std::vector<std::uint64_t> World::PairSet::sorted_keys() const {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(size_);
+  for (const std::uint64_t k : slots_) {
+    if (k != kEmpty) keys.push_back(k);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 void World::set_state(int u, StateId s) {
@@ -90,15 +88,8 @@ void World::set_state(int u, StateId s) {
 
 void World::kill(int u) {
   if (!alive(u)) throw std::logic_error("World::kill: node already crashed");
-  if (sparse_) {
-    // set_edge mutates the adjacency storage; iterate over a copy.
-    const std::vector<int> neighbors = active_neighbors(u);
-    for (const int v : neighbors) set_edge(u, v, false);
-  } else {
-    for (int v = 0; v < n_; ++v) {
-      if (v != u && edge(u, v)) set_edge(u, v, false);
-    }
-  }
+  // active_neighbors returns a copy, so set_edge may mutate the storage.
+  for (const int v : active_neighbors(u)) set_edge(u, v, false);
   ++version_;
   --census_[static_cast<std::size_t>(states_[static_cast<std::size_t>(u)])];
   if (dead_.empty()) dead_.assign(static_cast<std::size_t>(n_), 0);
@@ -107,22 +98,14 @@ void World::kill(int u) {
 }
 
 bool World::set_edge(int u, int v, bool active) {
+  const std::size_t i = pair_index(u, v);
   if (!sparse_) {
-    const std::size_t i = pair_index(u, v);
     const std::uint64_t mask = 1ULL << (i % 64);
     const bool old = (edge_bits_[i / 64] & mask) != 0;
     if (old == active) return false;
     edge_bits_[i / 64] ^= mask;
-  } else {
-    const bool old = sparse_edge(u, v);
-    if (old == active) return false;
-    if (active) {
-      sparse_add(u, v);
-      sparse_add(v, u);
-    } else {
-      sparse_remove(u, v);
-      sparse_remove(v, u);
-    }
+  } else if (!(active ? edge_set_.insert(i) : edge_set_.erase(i))) {
+    return false;
   }
   ++version_;
   const int delta = active ? 1 : -1;
@@ -159,20 +142,9 @@ Graph World::output_graph(const Protocol& protocol) const {
 
 std::vector<int> World::active_neighbors(int u) const {
   std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(active_degree(u)));
-  if (sparse_) {
-    const int d = degree_[static_cast<std::size_t>(u)];
-    if (d <= kInlineNeighbors) {
-      const std::size_t base = static_cast<std::size_t>(u) * kInlineNeighbors;
-      out.assign(adj_inline_.begin() + static_cast<std::ptrdiff_t>(base),
-                 adj_inline_.begin() + static_cast<std::ptrdiff_t>(base + d));
-      return out;
-    }
-    const auto& adj = adjacency_[static_cast<std::size_t>(u)];
-    out.assign(adj.begin(), adj.end());
-    return out;
-  }
-  for (int v = 0; v < n_; ++v) {
+  const auto want = static_cast<std::size_t>(active_degree(u));
+  out.reserve(want);
+  for (int v = 0; v < n_ && out.size() < want; ++v) {
     if (v != u && edge(u, v)) out.push_back(v);
   }
   return out;

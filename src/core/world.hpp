@@ -5,16 +5,16 @@
 // Two web-scale concerns live here because only the World sees every
 // mutation:
 //
-//  * Edge storage is dense (triangular bitset, the historical layout) up to
-//    kDenseNodeLimit nodes and switches to per-node sorted adjacency above
-//    it: the bitset is Theta(n^2) bits regardless of occupancy, which is
-//    625 MB at n = 10^5 and 62 GB at n = 10^6, while the active edge count
-//    m stays far below n^2 -- Cycle-Cover holds at most n, and
+//  * Edge storage follows n alone. Up to kDenseNodeLimit nodes it is the
+//    triangular bitset (at most 4.2 MB, cache-resident, so the naive
+//    engine's per-step probe and Simulator::is_quiescent's n^2 probes stay
+//    bit tests). Above it the bitset's Theta(n^2) bits would dwarf the
+//    active edge count m -- Cycle-Cover holds at most n edges, and
 //    Global-Star's transient peaks at a slowly growing multiple of n
 //    (7.2n, 8.9n and 11.6n measured at n = 2^10, 2^12, 2^14 under census
-//    sampling). Every query keeps its contract; edge() costs a bit probe
-//    dense and a binary search over a (typically tiny) adjacency list
-//    sparse.
+//    sampling) -- so edges live in one open-addressing set of pair_index
+//    keys sized to m. Every query keeps its contract on both storages,
+//    and for_each_active_edge visits edges in pair_index order on both.
 //  * version() counts successful mutations, so an observer that mirrors
 //    the configuration (CensusEngine's census tables) can tell in O(1)
 //    whether anyone touched the world since it last synced.
@@ -33,10 +33,10 @@ namespace netcons {
 
 class World {
  public:
-  /// Largest population the dense triangular bitset serves; above it edges
-  /// live in per-node sorted adjacency (pair_count(2^15) is 64 MB of bits,
-  /// the next doubling would be 256 MB).
-  static constexpr int kDenseNodeLimit = 1 << 15;
+  /// Largest population whose edges live in the dense triangular bitset
+  /// (pair_count(2^13) bits is 4.2 MB); above it they live in an
+  /// open-addressing set of pair_index keys.
+  static constexpr int kDenseNodeLimit = 1 << 13;
 
   World() = default;
   /// All nodes in q0, all edges inactive -- the model's initial configuration.
@@ -56,8 +56,8 @@ class World {
     return static_cast<std::size_t>(n) * (static_cast<std::size_t>(n) - 1) / 2;
   }
 
-  /// Whether edges live in per-node adjacency lists (true) or the dense
-  /// triangular bitset (false).
+  /// Whether edges live in the pair set (true) or the dense triangular
+  /// bitset (false).
   [[nodiscard]] bool sparse_edges() const noexcept { return sparse_; }
 
   /// Mutation counter: set_state, set_edge and kill bump it on every
@@ -89,6 +89,10 @@ class World {
       const std::size_t i = pair_index(u, v);
       return (edge_bits_[i / 64] >> (i % 64)) & 1ULL;
     }
+    // Out of line with its own pair_index: sharing one index computation
+    // with the bitset branch made GCC swap the endpoints with a jump
+    // instead of a cmov, which random pairs mispredict half the time
+    // (measured ~40% slower naive n = 64 campaigns).
     return sparse_edge(u, v);
   }
   /// Returns true if the edge state changed.
@@ -106,25 +110,16 @@ class World {
 
   [[nodiscard]] std::int64_t active_edge_count() const noexcept { return active_edges_; }
 
-  /// Invoke fn(u, v) for every active edge, u < v, in unspecified order.
-  /// O(n^2 / 64 + m) dense (word-skipping scan), O(n + m) sparse -- the way
-  /// to enumerate edges without n^2 edge() probes.
+  /// Invoke fn(u, v) for every active edge, u < v, in pair_index order
+  /// (v-major, then u) on both storages. O(n^2 / 64 + m) dense
+  /// (word-skipping scan), O(m log m) sparse (the set's keys, sorted) --
+  /// the way to enumerate edges without n^2 edge() probes.
   template <typename Fn>
   void for_each_active_edge(Fn&& fn) const {
     if (sparse_) {
-      for (int u = 0; u < n_; ++u) {
-        const int d = degree_[static_cast<std::size_t>(u)];
-        if (d <= kInlineNeighbors) {
-          const std::size_t base = static_cast<std::size_t>(u) * kInlineNeighbors;
-          for (int i = 0; i < d; ++i) {
-            const std::int32_t v = adj_inline_[base + static_cast<std::size_t>(i)];
-            if (u < v) fn(u, static_cast<int>(v));
-          }
-        } else {
-          for (const std::int32_t v : adjacency_[static_cast<std::size_t>(u)]) {
-            if (u < v) fn(u, static_cast<int>(v));
-          }
-        }
+      for (const std::uint64_t key : edge_set_.sorted_keys()) {
+        const auto [u, v] = pair_at(key);
+        fn(u, v);
       }
       return;
     }
@@ -133,14 +128,8 @@ class World {
       while (word != 0) {
         const int bit = std::countr_zero(word);
         word &= word - 1;
-        const std::size_t index = w * 64 + static_cast<std::size_t>(bit);
-        // Invert pair_index(u, v) = v(v-1)/2 + u (u < v).
-        auto v = static_cast<std::size_t>(
-            (1.0 + std::sqrt(1.0 + 8.0 * static_cast<double>(index))) / 2.0);
-        while (v * (v - 1) / 2 > index) --v;
-        while (v * (v + 1) / 2 <= index) ++v;
-        const std::size_t u = index - v * (v - 1) / 2;
-        fn(static_cast<int>(u), static_cast<int>(v));
+        const auto [u, v] = pair_at(w * 64 + static_cast<std::size_t>(bit));
+        fn(u, v);
       }
     }
   }
@@ -162,29 +151,51 @@ class World {
     return out;
   }
 
-  /// Active neighbors of u (O(n) scan dense, O(degree) sparse).
+  /// Active neighbors of u in ascending order: edge() probes over the other
+  /// nodes, stopping once active_degree(u) are found.
   [[nodiscard]] std::vector<int> active_neighbors(int u) const;
 
  private:
-  /// Sparse neighbors live in a fixed inline block while the degree stays at
-  /// or below this, so the common O(1)-degree protocols never touch the
-  /// per-node heap vectors (one predictable cache line instead of a
-  /// pointer chase per probe). Past it, ALL neighbors move to the sorted
-  /// adjacency_ vector; dropping back migrates them home.
-  static constexpr int kInlineNeighbors = 4;
-
   [[nodiscard]] bool sparse_edge(int u, int v) const noexcept;
-  void sparse_add(int u, int v);
-  void sparse_remove(int u, int v);
+  /// Inverse of pair_index: the pair (u, v), u < v, at `index`.
+  [[nodiscard]] static std::pair<int, int> pair_at(std::size_t index) noexcept {
+    auto v = static_cast<std::size_t>(
+        (1.0 + std::sqrt(1.0 + 8.0 * static_cast<double>(index))) / 2.0);
+    while (v * (v - 1) / 2 > index) --v;
+    while (v * (v + 1) / 2 <= index) ++v;
+    return {static_cast<int>(index - v * (v - 1) / 2), static_cast<int>(v)};
+  }
+
+  /// Set of pair_index keys: power-of-two capacity with a multiplicative
+  /// (Fibonacci) hash, linear probing at load <= 1/2 (doubling when an
+  /// insert would pass it), and backward-shift deletion, so no tombstones
+  /// build up under edge churn.
+  class PairSet {
+   public:
+    [[nodiscard]] bool contains(std::uint64_t key) const noexcept;
+    /// Insert / erase report whether the set changed.
+    bool insert(std::uint64_t key);
+    bool erase(std::uint64_t key);
+    [[nodiscard]] std::vector<std::uint64_t> sorted_keys() const;
+
+   private:
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+    [[nodiscard]] std::size_t home(std::uint64_t key) const noexcept {
+      return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+    }
+    std::vector<std::uint64_t> slots_;
+    std::size_t mask_ = 0;
+    int shift_ = 0;
+    std::size_t size_ = 0;
+  };
 
   int n_ = 0;
   int dead_count_ = 0;
   bool sparse_ = false;
   std::int64_t active_edges_ = 0;
   std::vector<StateId> states_;
-  std::vector<std::uint64_t> edge_bits_;     ///< Dense mode only.
-  std::vector<std::int32_t> adj_inline_;     ///< Sparse: kInlineNeighbors per node, unsorted.
-  std::vector<std::vector<std::int32_t>> adjacency_;  ///< Sparse overflow (degree > inline); sorted.
+  std::vector<std::uint64_t> edge_bits_;  ///< Dense mode only.
+  PairSet edge_set_;                      ///< Sparse mode only.
   std::vector<int> degree_;
   std::vector<int> census_;
   std::vector<char> dead_;  ///< Allocated on first kill(); empty when all alive.

@@ -13,10 +13,9 @@ namespace netcons::faults {
 namespace {
 
 /// Active edges with both endpoints alive (the kill() invariant guarantees
-/// dead nodes are edge-free, so aliveness needs no re-check here).
-/// Active edges in World::for_each_active_edge order: pair_index order
-/// (v-major, then u) up to World::kDenseNodeLimit nodes, adjacency order
-/// above it.
+/// dead nodes are edge-free, so aliveness needs no re-check here), in
+/// World::for_each_active_edge order: pair_index order (v-major, then u)
+/// at every n, whichever edge storage the world uses.
 std::vector<std::pair<int, int>> active_edge_list(const World& world) {
   std::vector<std::pair<int, int>> out;
   out.reserve(static_cast<std::size_t>(world.active_edge_count()));

@@ -48,5 +48,14 @@ TEST(Json, FlatDocumentsStillParse) {
   EXPECT_EQ(field(field(object, "n").as_array()[2].as_object(), "x").as_string(), "y");
 }
 
+TEST(Json, UnicodeEscapeTakesExactlyFourHexDigits) {
+  EXPECT_EQ(parse(R"("\u0041\u007a")").as_string(), "Az");
+  // Each of these used to escape as std::invalid_argument from std::stoul
+  // or parse a hex prefix ("\u12zz" read as 0x12).
+  for (const char* bad : {R"("\uZZZZ")", R"("\u12zz")", R"("\u 7f0")", R"("\u+07f")"}) {
+    EXPECT_THROW((void)parse(bad), std::runtime_error) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace netcons::campaign::json

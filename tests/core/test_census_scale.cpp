@@ -1,8 +1,8 @@
 // Web-scale census machinery: the alias/mixture class sampler against an
 // independent linear scan, incrementally updated SoA tables against
 // from-scratch rebuilds, the World::version() sync rule (outside mutations
-// and interceptor phases cost one rebuild), and the sparse World edge
-// storage that serves populations past the dense-bitset budget.
+// and interceptor phases cost one rebuild), and the World pair-set edge
+// storage that serves populations past the dense-bitset limit.
 #include "core/census_engine.hpp"
 
 #include "campaign/registry.hpp"
@@ -201,9 +201,10 @@ TEST(CensusDeltas, SamplingResumesAfterInterceptorWithOneRebuild) {
 
 // --- sparse edge storage ---------------------------------------------------
 
-/// Random set_edge / kill on `nodes` (indices into a World of size n),
-/// checked against a std::set reference after every mutation batch: edge,
-/// active_degree, active_neighbors and for_each_active_edge must agree.
+/// Churn, then random set_edge / kill on `nodes` (indices into a World of
+/// size n), checked against a std::set reference after every mutation
+/// batch: edge, active_degree, active_neighbors and for_each_active_edge
+/// must agree.
 void check_world_against_reference(int n, const std::vector<int>& nodes, bool sparse) {
   const ProtocolSpec spec = *campaign::make_protocol("cycle-cover");
   World w(spec.protocol, n);
@@ -226,9 +227,7 @@ void check_world_against_reference(int n, const std::vector<int>& nodes, bool sp
         if (b == u) want.push_back(a);
       }
       std::sort(want.begin(), want.end());
-      std::vector<int> got = w.active_neighbors(u);
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, want) << "node " << u;
+      EXPECT_EQ(w.active_neighbors(u), want) << "node " << u;
       EXPECT_EQ(w.active_degree(u), static_cast<int>(want.size())) << "node " << u;
       for (const int v : nodes) {
         if (v == u) continue;
@@ -237,16 +236,48 @@ void check_world_against_reference(int n, const std::vector<int>& nodes, bool sp
       }
     }
   };
+  const auto kill = [&](int u) {
+    w.kill(u);
+    std::erase_if(ref, [u](const std::pair<int, int>& e) { return e.first == u || e.second == u; });
+    alive.erase(std::find(alive.begin(), alive.end(), u));
+  };
 
   std::mt19937 mix(99);
+  // Churn: every pair of the subset (2016 keys for 64 nodes, so the pair
+  // set doubles from 16 to 4096 slots), a hub killed at full degree, then
+  // deletion back to empty in shuffled order -- each erase backward-shifts
+  // through probe runs, including runs that wrap past the last slot.
+  std::vector<std::pair<int, int>> pairs;
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    for (std::size_t j = i + 1; j < alive.size(); ++j) pairs.emplace_back(alive[i], alive[j]);
+  }
+  std::shuffle(pairs.begin(), pairs.end(), mix);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_TRUE(w.set_edge(pairs[i].first, pairs[i].second, true));
+    ref.insert(pairs[i]);
+    if (i % 256 == 255) check();
+  }
+  check();
+  const int hub = alive[alive.size() / 2];
+  kill(hub);
+  check();
+  std::shuffle(pairs.begin(), pairs.end(), mix);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto [u, v] = pairs[i];
+    if (u == hub || v == hub) continue;
+    EXPECT_TRUE(w.set_edge(u, v, false));
+    ref.erase(pairs[i]);
+    if (i % 256 == 255) check();
+  }
+  check();
+  EXPECT_EQ(w.active_edge_count(), 0);
+
   for (int op = 0; op < 3000; ++op) {
     const int u = alive[mix() % alive.size()];
     int v = alive[mix() % alive.size()];
     while (v == u) v = alive[mix() % alive.size()];
     if (mix() % 64 == 0 && alive.size() > 8) {
-      w.kill(u);
-      std::erase_if(ref, [u](const std::pair<int, int>& e) { return e.first == u || e.second == u; });
-      alive.erase(std::find(alive.begin(), alive.end(), u));
+      kill(u);
     } else {
       const bool on = (mix() % 3) != 0;  // bias toward building edges
       const std::pair<int, int> key{std::min(u, v), std::max(u, v)};
@@ -255,16 +286,6 @@ void check_world_against_reference(int n, const std::vector<int>& nodes, bool sp
     }
     if (op % 500 == 499) check();
   }
-  // Hub nodes past the sparse layout's inline block, then back below it.
-  const int hub = alive.front();
-  for (const int v : alive) {
-    if (v != hub && w.set_edge(hub, v, true)) ref.emplace(std::min(hub, v), std::max(hub, v));
-  }
-  check();
-  for (const int v : alive) {
-    if (v != hub && w.set_edge(hub, v, false)) ref.erase({std::min(hub, v), std::max(hub, v)});
-  }
-  check();
 }
 
 TEST(SparseWorld, DenseStorageMatchesReferenceUnderRandomMutations) {
@@ -274,12 +295,33 @@ TEST(SparseWorld, DenseStorageMatchesReferenceUnderRandomMutations) {
 }
 
 TEST(SparseWorld, SparseStorageMatchesReferenceUnderRandomMutations) {
-  // Mutations on a 64-node subset spread over the whole id range, so both
-  // extremes of the adjacency layout are exercised.
+  // Mutations on a 64-node subset spread over the whole id range, so
+  // pair_index keys span the whole key range too.
   const int n = World::kDenseNodeLimit + 1;
   std::vector<int> nodes(64);
   for (int i = 0; i < 64; ++i) nodes[static_cast<std::size_t>(i)] = i * (n - 1) / 63;
   check_world_against_reference(n, nodes, /*sparse=*/true);
+}
+
+TEST(SparseWorld, ForEachActiveEdgeVisitsPairIndexOrderOnBothStorages) {
+  // Callers that draw from the edge list (fault victims) or rebuild from it
+  // (census tables) see the same order whichever storage n selects, at
+  // every n (the 2^15 + 1 leg is past every earlier storage switch).
+  const ProtocolSpec spec = *campaign::make_protocol("cycle-cover");
+  for (const int n : {512, World::kDenseNodeLimit + 1, (1 << 15) + 1}) {
+    World w(spec.protocol, n);
+    std::mt19937 mix(7);
+    std::vector<std::size_t> want;
+    for (int i = 0; i < 300; ++i) {
+      const int u = static_cast<int>(mix() % static_cast<unsigned>(n));
+      const int v = static_cast<int>(mix() % static_cast<unsigned>(n));
+      if (u != v && w.set_edge(u, v, true)) want.push_back(World::pair_index(u, v));
+    }
+    std::sort(want.begin(), want.end());
+    std::vector<std::size_t> seen;
+    w.for_each_active_edge([&](int u, int v) { seen.push_back(World::pair_index(u, v)); });
+    EXPECT_EQ(seen, want) << "n = " << n;
+  }
 }
 
 TEST(SparseWorld, DenseEdgeIterationInvertsPairIndexCorrectly) {
@@ -302,12 +344,14 @@ TEST(SparseWorld, DenseEdgeIterationInvertsPairIndexCorrectly) {
 
 TEST(SparseWorld, AutoStorageCrossesOverAtTheDenseLimit) {
   const ProtocolSpec spec = *campaign::make_protocol("cycle-cover");
+  static_assert(World::kDenseNodeLimit == 1 << 13);
   EXPECT_FALSE(World(spec.protocol, 64).sparse_edges());
+  EXPECT_FALSE(World(spec.protocol, World::kDenseNodeLimit).sparse_edges());
   EXPECT_TRUE(World(spec.protocol, World::kDenseNodeLimit + 1).sparse_edges());
 }
 
 TEST(SparseWorld, CensusEngineStabilizesCycleCoverPastTheDenseLimit) {
-  // n just past the bitset budget: the engine's world must come up sparse
+  // n just past the bitset limit: the engine's world must come up sparse
   // and still stabilize (cycle cover: every node ends with degree 2, so
   // the active graph carries exactly n edges).
   const ProtocolSpec spec = *campaign::make_protocol("cycle-cover");
