@@ -14,16 +14,17 @@
 // --min-speedup 0 disables the gate.
 //
 // --scaling -- the web-scale curve: ns per effective interaction for the
-// census engine on Simple-Global-Line over
-// n in {2^8 .. 2^16}, each point a run bounded to --scaling-eff effective
-// interactions (the whole curve costs seconds; the points past
-// World::kDenseNodeLimit = 2^13 keep their edges in World's pair set
-// rather than the triangular bitset, so both storages are on the measured
-// path -- the "storage" column names which). A near-flat curve is the point: per-interaction cost must not
-// grow with the population. The in-binary gate fails if the largest-n
-// point exceeds --flat-factor times the n = 1024 point; the nightly
-// workflow additionally gates every point against the cached baseline
-// ("scaling_curve" family in tools/compare_bench.py).
+// census engine on Simple-Global-Line over n in {2^8 .. 2^16}, each point
+// the median of 5 runs bounded to --scaling-eff effective interactions,
+// taken in interleaved sweeps of the whole curve (which costs seconds; the
+// points past World::kDenseNodeLimit = 2^13 keep their edges in World's
+// pair set rather than the triangular bitset, so both storages are on the
+// measured path -- the "storage" column names which). A near-flat curve is
+// the point: per-interaction cost must not grow with the population. The
+// in-binary gate fails if the largest-n point exceeds --flat-factor times
+// the n = 1024 point; the nightly workflow additionally gates every point
+// against the cached baseline ("scaling_curve" family in
+// tools/compare_bench.py).
 //
 // --web-scale N -- nightly stabilization carry: Simple-Global-Line and
 // Cycle-Cover to stabilization at n = N (default 100000) under the census
@@ -47,6 +48,7 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -91,32 +93,37 @@ CurvePoint measure_once(const ProtocolSpec& spec, int n, std::uint64_t eff_budge
   return point;
 }
 
-/// Min-of-`repeats` wrapper: the minimum is the standard noise-robust
-/// estimator of intrinsic cost on a shared machine -- scheduler
-/// preemptions and cache pollution only ever push a timing up.
-CurvePoint measure_point(const ProtocolSpec& spec, int n, std::uint64_t eff_budget,
-                         std::uint64_t seed, int repeats = 3) {
-  CurvePoint best = measure_once(spec, n, eff_budget, seed);
-  for (int r = 1; r < repeats; ++r) {
-    const CurvePoint next =
-        measure_once(spec, n, eff_budget, seed + static_cast<std::uint64_t>(r));
-    if (next.ns_per_effective < best.ns_per_effective) best = next;
-  }
-  return best;
-}
-
 int run_scaling(int min_exp, int max_exp, std::uint64_t eff_budget, double flat_factor,
                 std::uint64_t seed, const std::string& json_path) {
   const ProtocolSpec spec = *campaign::make_protocol("simple-global-line");
   std::cout << "=== Census scaling curve: Simple-Global-Line, " << eff_budget
             << " effective interactions per point ===\n\n";
 
+  // Every repetition sweeps the whole curve before the next begins, so a
+  // burst of load on a shared machine lands on all n alike instead of on
+  // one point's block, and each point scores the median of its
+  // repetitions: the flat-curve ratio then compares typical costs rather
+  // than two single short runs.
+  constexpr int kRepetitions = 5;
+  std::vector<std::vector<CurvePoint>> runs(static_cast<std::size_t>(max_exp - min_exp + 1));
+  for (int r = 0; r < kRepetitions; ++r) {
+    for (int exp = min_exp; exp <= max_exp; ++exp) {
+      const std::uint64_t point_seed =
+          trial_seed(seed, static_cast<std::uint64_t>(exp)) + static_cast<std::uint64_t>(r);
+      runs[static_cast<std::size_t>(exp - min_exp)].push_back(
+          measure_once(spec, 1 << exp, eff_budget, point_seed));
+    }
+  }
   std::vector<CurvePoint> curve;
   TextTable table({"n", "storage", "census ns/eff", "eff (census)"});
-  for (int exp = min_exp; exp <= max_exp; ++exp) {
-    const int n = 1 << exp;
-    const std::uint64_t point_seed = trial_seed(seed, static_cast<std::uint64_t>(exp));
-    curve.push_back(measure_point(spec, n, eff_budget, point_seed));
+  for (std::vector<CurvePoint>& point_runs : runs) {
+    const auto median = point_runs.begin() + kRepetitions / 2;
+    std::nth_element(point_runs.begin(), median, point_runs.end(),
+                     [](const CurvePoint& a, const CurvePoint& b) {
+                       return a.ns_per_effective < b.ns_per_effective;
+                     });
+    curve.push_back(*median);
+    const int n = curve.back().n;
     table.add_row({TextTable::integer(static_cast<std::uint64_t>(n)),
                    n > World::kDenseNodeLimit ? "pair-set" : "bitset",
                    TextTable::num(curve.back().ns_per_effective, 1),
@@ -263,7 +270,7 @@ int run_smoke(int n, std::uint64_t eff_budget, std::uint64_t seed) {
   // too many to carry at 10^6 nightly, so the smoke only proves the
   // machinery runs: a bounded slice of effective interactions.
   const ProtocolSpec sgl = *campaign::make_protocol("simple-global-line");
-  const CurvePoint slice = measure_point(sgl, n, eff_budget, trial_seed(seed, 2), false);
+  const CurvePoint slice = measure_once(sgl, n, eff_budget, trial_seed(seed, 2));
   StabilizationRun sgl_run;
   sgl_run.protocol = "simple-global-line (bounded)";
   sgl_run.stabilized = slice.effective >= eff_budget;  // "ran the full slice"

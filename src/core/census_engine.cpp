@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -40,6 +41,9 @@ void note_fallback(std::atomic<bool>& noted, const char* reason_key, const char*
 
 std::atomic<bool> g_noted_scheduler{false};
 std::atomic<bool> g_noted_interceptor{false};
+
+/// The lowest set bit of i: the span of Fenwick node i.
+constexpr std::size_t lowbit(std::size_t i) noexcept { return i & (~i + 1); }
 
 }  // namespace
 
@@ -123,15 +127,9 @@ void CensusEngine::rebuild_tables() {
     classes_by_state_[classes_[i].a].push_back(i);
     if (classes_[i].b != classes_[i].a) classes_by_state_[classes_[i].b].push_back(i);
   }
-  // Weights, the running total and the alias bookkeeping are set by the
+  // Weights, the running total and the Fenwick tree are set by the
   // refresh_weights() that ends the rebuild.
   weight_.assign(c, 0);
-  snapshot_.assign(c, 0);
-  snapshot_total_ = 0;
-  alias_height_.assign(c, 0);
-  alias_other_.assign(c, 0);
-  class_dirty_.assign(c, 0);
-  dirty_.clear();
 
   nodes_by_state_.assign(static_cast<std::size_t>(q), {});
   node_pos_.assign(static_cast<std::size_t>(n), -1);
@@ -246,17 +244,10 @@ void CensusEngine::touch_class(std::uint32_t ci) {
   const std::uint64_t now = class_multiplicity(classes_[ci]);
   const std::uint64_t old = weight_[ci];
   if (now == old) return;
-  if (alias_built_) {
-    const std::uint64_t snap = snapshot_[ci];
-    if (class_dirty_[ci] == 0) {
-      class_dirty_[ci] = 1;
-      dirty_.push_back(ci);
-    }
-    surplus_total_ += now > snap ? now - snap : 0;
-    surplus_total_ -= old > snap ? old - snap : 0;
-  }
-  total_weight_ += now;
-  total_weight_ -= old;
+  // Unsigned wrap-around makes one delta serve rises and falls alike.
+  const std::uint64_t delta = now - old;
+  for (std::size_t i = ci + 1; i < fenwick_.size(); i += lowbit(i)) fenwick_[i] += delta;
+  total_weight_ += delta;
   weight_[ci] = now;
 }
 
@@ -265,97 +256,34 @@ void CensusEngine::touch_state_classes(StateId q) {
 }
 
 void CensusEngine::refresh_weights() {
+  const std::size_t c = classes_.size();
+  fenwick_.assign(c + 1, 0);
   total_weight_ = 0;
-  for (std::size_t i = 0; i < classes_.size(); ++i) {
+  for (std::size_t i = 0; i < c; ++i) {
     weight_[i] = class_multiplicity(classes_[i]);
     total_weight_ += weight_[i];
+    // O(|C|) build: node i + 1 is complete once its own weight lands (its
+    // children all precede it), so it hands its sum to its parent.
+    const std::size_t node = i + 1;
+    fenwick_[node] += weight_[i];
+    if (node + lowbit(node) <= c) fenwick_[node + lowbit(node)] += fenwick_[node];
   }
-  for (const std::uint32_t ci : dirty_) class_dirty_[ci] = 0;
-  dirty_.clear();
-  surplus_total_ = 0;
-  alias_built_ = false;  // the old snapshot's bookkeeping no longer applies
-}
-
-void CensusEngine::rebuild_alias() {
-  ++stats_.alias_rebuilds;
-  const std::size_t c = classes_.size();
-  snapshot_ = weight_;
-  snapshot_total_ = total_weight_;
-  for (const std::uint32_t ci : dirty_) class_dirty_[ci] = 0;
-  dirty_.clear();
-  surplus_total_ = 0;
-  alias_height_.assign(c, 0);
-  alias_other_.resize(c);
-  for (std::size_t i = 0; i < c; ++i) alias_other_[i] = static_cast<std::uint32_t>(i);
-  alias_built_ = true;
-  if (snapshot_total_ == 0 || c == 0) return;
-
-  // Integer Vose construction: class i owns h_i = w_i * |C| of the S * |C|
-  // total tokens (S = snapshot_total_); each of the |C| columns holds
-  // exactly S tokens from at most two classes. Exact in uint64 (w_i <=
-  // n^2/2 and |C| is protocol-table-sized), so draws need no
-  // floating-point correction.
-  std::vector<std::uint64_t> h(c);
-  std::vector<std::uint32_t> small;
-  std::vector<std::uint32_t> large;
-  for (std::size_t i = 0; i < c; ++i) {
-    h[i] = snapshot_[i] * static_cast<std::uint64_t>(c);
-    (h[i] < snapshot_total_ ? small : large).push_back(static_cast<std::uint32_t>(i));
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    small.pop_back();
-    const std::uint32_t l = large.back();
-    alias_height_[s] = h[s];
-    alias_other_[s] = l;
-    h[l] -= snapshot_total_ - h[s];
-    if (h[l] < snapshot_total_) {
-      large.pop_back();
-      small.push_back(l);
-    }
-  }
-  // Exact-integer token conservation: every leftover column is full.
-  for (const std::uint32_t i : large) alias_height_[i] = snapshot_total_;
-  for (const std::uint32_t i : small) alias_height_[i] = snapshot_total_;
-}
-
-bool CensusEngine::alias_rebuild_due() const noexcept {
-  if (!alias_built_) return true;
-  // Bounded dirty set keeps the surplus walk short; bounded surplus and
-  // capped mass keep both mixture branches O(1) expected per draw.
-  if (dirty_.size() >= std::max<std::size_t>(32, classes_.size() / 8)) return true;
-  if (surplus_total_ * 2 >= total_weight_) return true;
-  const std::uint64_t capped = total_weight_ - surplus_total_;
-  return capped * 2 < snapshot_total_;
 }
 
 std::size_t CensusEngine::draw_class() {
-  if (alias_rebuild_due()) rebuild_alias();
-  // Mixture decomposition against the snapshot: with probability
-  // surplus/W resolve from the dirty classes' weight *gains*; otherwise
-  // propose from the alias table (~ snapshot) and accept with
-  // min(w, s)/s, so P(i) = (surplus_i + min(w_i, s_i)) / W = w_i / W --
-  // exact against the current weights, in integers.
-  const std::uint64_t r = rng().below(total_weight_);
-  if (r < surplus_total_) {
-    std::uint64_t acc = 0;
-    for (const std::uint32_t ci : dirty_) {
-      const std::uint64_t w = weight_[ci];
-      const std::uint64_t snap = snapshot_[ci];
-      acc += w > snap ? w - snap : 0;
-      if (r < acc) return ci;
+  // Descend to the longest prefix of classes whose weights sum to <= r; the
+  // next class is the one r falls in, so P(i) = w_i / W. A zero-weight
+  // class has an empty interval and is never returned.
+  std::uint64_t r = rng().below(total_weight_);
+  std::size_t pos = 0;
+  for (std::size_t step = std::bit_floor(classes_.size()); step > 0; step >>= 1) {
+    const std::size_t next = pos + step;
+    if (next < fenwick_.size() && fenwick_[next] <= r) {
+      pos = next;
+      r -= fenwick_[next];
     }
   }
-  while (true) {
-    const auto col = static_cast<std::uint32_t>(rng().below(classes_.size()));
-    const std::size_t ci =
-        rng().below(snapshot_total_) < alias_height_[col] ? col : alias_other_[col];
-    if (class_dirty_[ci] == 0) return ci;  // weight unchanged since snapshot
-    const std::uint64_t w = weight_[ci];
-    const std::uint64_t snap = snapshot_[ci];
-    if (w >= snap) return ci;
-    if (w > 0 && rng().below(snap) < w) return ci;  // accept with exactly w/s
-  }
+  return pos;
 }
 
 std::uint64_t CensusEngine::effective_pair_weight() {
@@ -374,8 +302,7 @@ std::uint64_t CensusEngine::geometric_skips(double p) {
   return static_cast<std::uint64_t>(g);
 }
 
-CensusEngine::BucketEdge CensusEngine::sample_pair(const EffectiveClass& cls,
-                                                   std::uint64_t multiplicity) {
+CensusEngine::BucketEdge CensusEngine::sample_pair(const EffectiveClass& cls) {
   if (cls.c) {
     // The stored (u, v) orientation is fine even for a == b: the model's
     // symmetry-breaking coin in Simulator::apply assigns asymmetric
@@ -389,10 +316,9 @@ CensusEngine::BucketEdge CensusEngine::sample_pair(const EffectiveClass& cls,
   const std::vector<std::int32_t>& as = nodes_by_state_[cls.a];
   const std::vector<std::int32_t>& bs = nodes_by_state_[cls.b];
   // Rejection over the (a, b) node product is uniform over the non-edge
-  // pairs; it only degenerates when almost every such pair is an active
-  // edge, so a capped loop with an exact O(|a||b|) fallback keeps the
-  // expected cost O(1) without a worst-case tail.
-  for (int attempt = 0; attempt < 64; ++attempt) {
+  // pairs. The class has weight k >= 1 of those, so the loop ends almost
+  // surely after |a||b|/k expected probes.
+  while (true) {
     int u = 0;
     int v = 0;
     if (cls.a == cls.b) {
@@ -407,27 +333,6 @@ CensusEngine::BucketEdge CensusEngine::sample_pair(const EffectiveClass& cls,
     }
     if (!world().edge(u, v)) return {u, v};
   }
-
-  std::uint64_t r = rng().below(multiplicity);
-  if (cls.a == cls.b) {
-    for (std::size_t i = 0; i < as.size(); ++i) {
-      for (std::size_t j = i + 1; j < as.size(); ++j) {
-        if (world().edge(as[i], as[j])) continue;
-        if (r == 0) return {as[i], as[j]};
-        --r;
-      }
-    }
-  } else {
-    for (const int u : as) {
-      for (const int v : bs) {
-        if (world().edge(u, v)) continue;
-        if (r == 0) return {u, v};
-        --r;
-      }
-    }
-  }
-  // Unreachable: multiplicity counts exactly the non-edge pairs above.
-  return {as.front(), cls.a == cls.b ? as[1] : bs.front()};
 }
 
 void CensusEngine::execute_and_update(int u, int v, std::uint32_t slot) {
@@ -513,7 +418,7 @@ CensusEngine::StepOutcome CensusEngine::census_step(std::uint64_t budget) {
       stats_.geometric_skips += skips;
       skip_steps(skips + 1);
       const std::size_t ci = draw_class();
-      const BucketEdge pair = sample_pair(classes_[ci], weight_[ci]);
+      const BucketEdge pair = sample_pair(classes_[ci]);
       const double w = weight_model_->pair_weight(pair.u, pair.v);
       if (w < w_hat && !rng().bernoulli(w / w_hat)) {
         ++stats_.weighted_rejects;
@@ -630,7 +535,6 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
     std::uint64_t registry_id = 0;
     std::uint64_t publishes = 0;
     telemetry::Counter* full_rebuilds = nullptr;
-    telemetry::Counter* alias_rebuilds = nullptr;
     telemetry::Counter* skips = nullptr;
     telemetry::Counter* samples = nullptr;
     telemetry::Counter* weighted_samples = nullptr;
@@ -641,7 +545,6 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
   thread_local Handles handles;
   if (handles.registry_id != registry.id()) {
     handles.full_rebuilds = &registry.counter("census.full_rebuilds");
-    handles.alias_rebuilds = &registry.counter("census.alias_rebuilds");
     handles.skips = &registry.counter("census.geometric_skips");
     handles.samples = &registry.counter("census.effective_samples");
     handles.weighted_samples = &registry.counter("census.weighted_samples");
@@ -652,7 +555,6 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
     handles.registry_id = registry.id();
   }
   handles.full_rebuilds->add(stats_.full_rebuilds);
-  handles.alias_rebuilds->add(stats_.alias_rebuilds);
   handles.skips->add(stats_.geometric_skips);
   handles.samples->add(stats_.effective_samples);
   if (weight_model() != nullptr) {

@@ -45,15 +45,11 @@
 // uniformly, when every pair is effective, where per-step execution is
 // exactly as cheap).
 //
-// Class selection is an integer Walker alias table over the class weights,
-// rebuilt incrementally: every state/edge transition recomputes only the
-// weights of classes containing a touched state (a dirty log), and draws
-// stay exact against the *current* weights via a mixture decomposition --
-// with probability surplus/W a draw resolves from the dirty classes'
-// weight gains, otherwise the alias table proposes ~ snapshot weight and a
-// rejection step corrects classes whose weight shrank. The table is
-// re-snapshotted when the dirty set or the correction terms grow past
-// fixed fractions, so draws are O(1) expected even for large |Q|^2.
+// Class selection is one Fenwick (binary indexed) tree over the class
+// weights: a transition re-reads only the classes containing a touched
+// state, each changed weight moves O(log |C|) tree nodes, and a draw takes
+// exactly one uniform integer below W and descends the tree, so P(class
+// i) = w_i / W exactly, in integers, against the current weights.
 //
 // The tables mirror one World::version(): the engine records the version
 // after every rebuild and after each of its own encounters, so any
@@ -103,7 +99,6 @@ class CensusEngine final : public Simulator {
   /// merging). Exposed for the unit tests.
   struct Stats {
     std::uint64_t full_rebuilds = 0;      ///< Full census-table rebuilds.
-    std::uint64_t alias_rebuilds = 0;     ///< Alias-table re-snapshots.
     std::uint64_t geometric_skips = 0;    ///< Ineffective steps skipped wholesale.
     std::uint64_t effective_samples = 0;  ///< Census-sampled effective encounters.
     std::uint64_t weighted_rejects = 0;   ///< Thinning candidates rejected.
@@ -163,9 +158,9 @@ class CensusEngine final : public Simulator {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
   /// Publishes the inherited engine.* counters plus the census.* family
-  /// (full_rebuilds / alias_rebuilds / geometric_skips /
-  /// effective_samples, and the census.weighted_* counters when the
-  /// scheduler exported its own weight model) and the
+  /// (full_rebuilds / geometric_skips / effective_samples, and the
+  /// census.weighted_* counters when the scheduler exported its own weight
+  /// model) and the
   /// census.bucket_occupancy histogram (active-edge bucket sizes over the
   /// current configuration; sampled 1-in-8 publishes to keep per-trial
   /// cost inside the telemetry overhead budget, and omitted while the
@@ -174,8 +169,9 @@ class CensusEngine final : public Simulator {
 
   // --- Test hooks (deterministic, but not part of the engine contract) ---
 
-  /// One class draw against the current weights via the alias/mixture
-  /// sampler; returns an index into debug_classes().
+  /// One class draw against the current weights (the Fenwick-tree
+  /// descent); returns an index into debug_classes(), or its size when the
+  /// configuration is quiescent.
   [[nodiscard]] std::size_t debug_draw_class();
   /// The effective classes, after syncing the tables.
   [[nodiscard]] const std::vector<EffectiveClass>& debug_classes();
@@ -225,21 +221,18 @@ class CensusEngine final : public Simulator {
   [[nodiscard]] std::uint32_t find_edge_slot(int u, int v) const noexcept;
   void node_list_move(int u, StateId from, StateId to);
 
-  // --- alias table / weight maintenance ---
+  // --- class weights ---
   /// Recompute one class's weight and fold the change into the running
-  /// total, the dirty log, and the surplus term.
+  /// total and the Fenwick tree.
   void touch_class(std::uint32_t ci);
   void touch_state_classes(StateId q);
-  void rebuild_alias();
-  [[nodiscard]] bool alias_rebuild_due() const noexcept;
-  /// Draw ~ *current* weights, exactly (mixture + rejection over the
-  /// alias proposal). Requires fresh weights and total_weight_ > 0.
+  /// Draw ~ current weights, exactly. Requires total_weight_ > 0.
   [[nodiscard]] std::size_t draw_class();
 
   // --- stepping ---
   [[nodiscard]] std::uint64_t geometric_skips(double p);
   /// Pick a concrete unordered pair uniformly within the class.
-  [[nodiscard]] BucketEdge sample_pair(const EffectiveClass& cls, std::uint64_t multiplicity);
+  [[nodiscard]] BucketEdge sample_pair(const EffectiveClass& cls);
   /// One census-sampled step against weight_model_, never advancing the
   /// clock past `budget`: thinning when p_hat < 1, per-step model sampling
   /// otherwise. Memoryless: a kBudgetExhausted tail is redrawn by the next
@@ -261,29 +254,20 @@ class CensusEngine final : public Simulator {
   /// sync to rebuild.
   static constexpr std::uint64_t kNeverSynced = ~std::uint64_t{0};
   std::uint64_t synced_version_ = kNeverSynced;
-  bool alias_built_ = false;
 
   Stats stats_;
 
   std::vector<EffectiveClass> classes_;
   /// classes_by_state_[q] = indices of classes whose (a, b) contains q; a
   /// transition touching states S can only change weights of classes with
-  /// a state in S, so these lists drive the dirty marking.
+  /// a state in S, so these lists drive the weight updates.
   std::vector<std::vector<std::uint32_t>> classes_by_state_;
 
   std::vector<std::uint64_t> weight_;
   std::uint64_t total_weight_ = 0;
-
-  // Alias snapshot (integer Vose: per-column own-token height out of
-  // snapshot_total_) plus the dirty log that keeps draws exact between
-  // re-snapshots.
-  std::vector<std::uint64_t> snapshot_;
-  std::uint64_t snapshot_total_ = 0;
-  std::vector<std::uint64_t> alias_height_;
-  std::vector<std::uint32_t> alias_other_;
-  std::vector<std::uint32_t> dirty_;
-  std::vector<std::uint8_t> class_dirty_;
-  std::uint64_t surplus_total_ = 0;
+  /// Fenwick tree over weight_, |C| + 1 entries: fenwick_[i] (1-based)
+  /// sums the weights of classes (i - lowbit(i), i]; fenwick_[0] is unused.
+  std::vector<std::uint64_t> fenwick_;
 
   std::vector<std::vector<std::int32_t>> nodes_by_state_;
   std::vector<std::int32_t> node_pos_;

@@ -1,4 +1,4 @@
-// Web-scale census machinery: the alias/mixture class sampler against an
+// Web-scale census machinery: the Fenwick-tree class sampler against an
 // independent linear scan, incrementally updated SoA tables against
 // from-scratch rebuilds, the World::version() sync rule (outside mutations
 // and interceptor phases cost one rebuild), and the World pair-set edge
@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <set>
 #include <string>
@@ -45,7 +46,8 @@ std::vector<std::uint64_t> linear_scan_weights(const Protocol& protocol, const W
 /// current configuration, with expectations from the independent linear
 /// scan. Returns the number of support classes through `df_out`.
 double chi_squared_class_draws(CensusEngine& engine, int draws, int* df_out) {
-  const std::vector<std::uint64_t> expected = linear_scan_weights(engine.protocol(), engine.world());
+  const std::vector<std::uint64_t> expected =
+      linear_scan_weights(engine.protocol(), engine.world());
   // The engine's delta-maintained weights must agree with the scan exactly
   // before the draws mean anything.
   EXPECT_EQ(engine.debug_class_weights(), expected);
@@ -78,14 +80,21 @@ double chi_squared_class_draws(CensusEngine& engine, int draws, int* df_out) {
   return chi2;
 }
 
-// --- alias table vs linear scan --------------------------------------------
+/// Run until `count` more effective interactions have executed.
+void run_effective(CensusEngine& engine, std::uint64_t count) {
+  const std::uint64_t target = engine.effective_steps() + count;
+  (void)engine.run_until(
+      [&engine, target](const World&) { return engine.effective_steps() >= target; },
+      std::numeric_limits<std::uint64_t>::max());
+}
+
+// --- class sampler vs linear scan ------------------------------------------
 
 TEST(CensusAlias, DrawsMatchLinearScanDistribution) {
   // 10^5 class draws per protocol against the exact multiplicities of a
-  // mid-flight configuration. The first batch runs with a dirty log from
-  // stepping (mixture + rejection paths); the single step between batches
-  // re-dirties the table so the incremental path is exercised again after
-  // an alias rebuild. Deterministic in the seed -- does not flake.
+  // mid-flight configuration. The first batch draws from a tree updated
+  // incrementally by stepping; the single step between batches moves it
+  // again. Deterministic in the seed -- does not flake.
   for (const std::string name : {"simple-global-line", "cycle-cover", "global-star"}) {
     const ProtocolSpec spec = *campaign::make_protocol(name);
     CensusEngine engine(spec.protocol, 48, 20240807);
@@ -104,7 +113,7 @@ TEST(CensusAlias, DrawsMatchLinearScanDistribution) {
     ASSERT_GE(support, 2) << name << ": never saw a multi-class configuration";
 
     for (const int batch : {0, 1}) {
-      if (batch == 1) engine.run(1);  // re-dirty the alias bookkeeping
+      if (batch == 1) engine.run(1);  // move the tree between batches
       int df = 0;
       const double chi2 = chi_squared_class_draws(engine, 50000, &df);
       ASSERT_GE(df, 1) << name;
@@ -113,6 +122,42 @@ TEST(CensusAlias, DrawsMatchLinearScanDistribution) {
       EXPECT_LT(chi2, static_cast<double>(df) + 6.0 * std::sqrt(2.0 * df) + 16.0)
           << name << " batch " << batch << " df=" << df;
     }
+  }
+}
+
+TEST(CensusAlias, LargeClassTablesMatchLinearScanDistribution) {
+  // Class tables far past the paper's small protocols: kRC with k = 8 and
+  // c-Cliques with c = 8 give Fenwick trees of 246 and 97 leaves (neither a
+  // power of two, so the descent must skip nodes past the end). Each batch
+  // of draws follows a stretch of effective steps, and across the batches
+  // class weights must both rise and fall, so the draws check the tree
+  // after incremental updates in both directions.
+  struct Case {
+    const char* name;
+    campaign::ProtocolParams params;
+    std::size_t classes;
+  };
+  for (const Case& tc : {Case{"krc", {.k = 8}, 246}, Case{"c-cliques", {.c = 8}, 97}}) {
+    const ProtocolSpec spec = *campaign::make_protocol(tc.name, tc.params);
+    CensusEngine engine(spec.protocol, 64, 20241019);
+    ASSERT_EQ(engine.debug_classes().size(), tc.classes) << tc.name;
+    bool rose = false;
+    bool fell = false;
+    for (int batch = 0; batch < 4; ++batch) {
+      const std::vector<std::uint64_t> before = engine.debug_class_weights();
+      run_effective(engine, 40);
+      const std::vector<std::uint64_t> after = engine.debug_class_weights();
+      for (std::size_t i = 0; i < after.size(); ++i) {
+        rose = rose || after[i] > before[i];
+        fell = fell || after[i] < before[i];
+      }
+      int df = 0;
+      const double chi2 = chi_squared_class_draws(engine, 50000, &df);
+      ASSERT_GE(df, 1) << tc.name << " batch " << batch;
+      EXPECT_LT(chi2, static_cast<double>(df) + 6.0 * std::sqrt(2.0 * df) + 16.0)
+          << tc.name << " batch " << batch << " df=" << df;
+    }
+    EXPECT_TRUE(rose && fell) << tc.name << ": the batches never moved weights both ways";
   }
 }
 

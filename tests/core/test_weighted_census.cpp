@@ -76,15 +76,14 @@ TEST(WeightedCensus, RerunsAreBitIdentical) {
   }
 }
 
-// Two-sample KS over convergence steps, 300 trials per engine, threshold
-// 0.12 -- the alpha ~ 0.027 critical value for 300 vs 300, matching the
-// uniform-scheduler equivalence test in test_engine.cpp. Deterministic in
-// the seeds, so none of these flake.
+// Two-sample KS over convergence steps, 300 trials per engine by default,
+// threshold 0.12 -- the alpha ~ 0.027 critical value for 300 vs 300,
+// matching the uniform-scheduler equivalence test in test_engine.cpp.
+// Deterministic in the seeds, so none of these flake.
 void expect_marginal_matches_naive(const std::string& protocol_name,
                                    const std::string& scheduler_spec, int n,
-                                   std::uint64_t base_seed, double threshold) {
+                                   std::uint64_t base_seed, double threshold, int trials = 300) {
   const ProtocolSpec spec = *campaign::make_protocol(protocol_name);
-  const int trials = 300;
   analysis::ValueDistribution naive_dist;
   analysis::ValueDistribution census_dist;
   for (int t = 0; t < trials; ++t) {
@@ -108,7 +107,11 @@ TEST(WeightedCensus, ProximityConvergenceMatchesNaive) {
 }
 
 TEST(WeightedCensus, StaleBiasedMarginalMatchesNaive) {
-  expect_marginal_matches_naive("cycle-cover", "stale-biased:bias=0.05", 64, 9090, 0.12);
+  // Stale-biased carries a real marginal gap of KS ~0.065 (see
+  // core/scheduler.hpp). At 300 v 300 trials the sampling noise around it
+  // reaches the 0.12 bar (~0.05-0.12 across base seeds 9090..9099), so the
+  // test runs 1000 v 1000, where the noise sits well inside it.
+  expect_marginal_matches_naive("cycle-cover", "stale-biased:bias=0.05", 64, 9090, 0.12, 1000);
 }
 
 TEST(WeightedCensus, PermutationMarginalMatchesNaive) {
