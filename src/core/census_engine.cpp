@@ -81,6 +81,11 @@ CensusEngine::CensusEngine(Protocol protocol, int n, std::uint64_t seed,
       note_fallback(g_noted_scheduler, "scheduler", "a non-uniform scheduler");
     }
   }
+  // Model weights are static for the trial, so the listed regime's bound
+  // is too: exactly 1 for uniform-law models, which therefore never list.
+  if (weight_model_ != nullptr) {
+    list_cap_ = weight_model_->max_weight() / weight_model_->min_weight();
+  }
 }
 
 void CensusEngine::set_interceptor(StepInterceptor* interceptor) noexcept {
@@ -270,11 +275,10 @@ void CensusEngine::refresh_weights() {
   }
 }
 
-std::size_t CensusEngine::draw_class() {
+std::size_t CensusEngine::class_at(std::uint64_t r) const noexcept {
   // Descend to the longest prefix of classes whose weights sum to <= r; the
-  // next class is the one r falls in, so P(i) = w_i / W. A zero-weight
-  // class has an empty interval and is never returned.
-  std::uint64_t r = rng().below(total_weight_);
+  // next class is the one r falls in. A zero-weight class has an empty
+  // interval and is never returned.
   std::size_t pos = 0;
   for (std::size_t step = std::bit_floor(classes_.size()); step > 0; step >>= 1) {
     const std::size_t next = pos + step;
@@ -285,6 +289,8 @@ std::size_t CensusEngine::draw_class() {
   }
   return pos;
 }
+
+std::size_t CensusEngine::draw_class() { return class_at(rng().below(total_weight_)); }
 
 std::uint64_t CensusEngine::effective_pair_weight() {
   sync_tables();
@@ -333,6 +339,77 @@ CensusEngine::BucketEdge CensusEngine::sample_pair(const EffectiveClass& cls) {
     }
     if (!world().edge(u, v)) return {u, v};
   }
+}
+
+bool CensusEngine::list_effective_pairs() {
+  listed_.clear();
+  listed_mass_ = 0.0;
+  std::uint64_t visited = 0;
+  const auto list = [&](int u, int v, std::uint32_t slot) {
+    listed_mass_ += weight_model_->pair_weight(u, v);
+    listed_.push_back({{u, v, slot}, listed_mass_});
+  };
+  // The classes with nonzero weight, in index order: class_at(seen) is the
+  // first class past the weight already walked.
+  for (std::uint64_t seen = 0; seen < total_weight_;) {
+    const std::size_t ci = class_at(seen);
+    seen += weight_[ci];
+    const EffectiveClass& cls = classes_[ci];
+    const std::vector<std::int32_t>& as = nodes_by_state_[cls.a];
+    const std::vector<std::int32_t>& bs = nodes_by_state_[cls.b];
+    // An edge class lists its bucket; a non-edge class walks its whole node
+    // product to find the pairs without an edge. Both costs are known before
+    // the walk, so the class that would pass the cap is never walked.
+    const std::uint64_t product =
+        cls.a == cls.b ? as.size() * (as.size() - 1) / 2 : as.size() * bs.size();
+    visited += cls.c ? weight_[ci] : product;
+    if (static_cast<double>(visited) > list_cap_) return false;
+    if (cls.c) {
+      for (const std::uint32_t slot : buckets_[bucket_key(cls.a, cls.b)]) {
+        list(edges_[slot].u, edges_[slot].v, slot);
+      }
+    } else if (cls.a == cls.b) {
+      for (std::size_t i = 0; i < as.size(); ++i) {
+        for (std::size_t j = i + 1; j < as.size(); ++j) {
+          if (!world().edge(as[i], as[j])) list(as[i], as[j], kNoSlot);
+        }
+      }
+    } else {
+      for (const std::int32_t u : as) {
+        for (const std::int32_t v : bs) {
+          if (!world().edge(u, v)) list(u, v, kNoSlot);
+        }
+      }
+    }
+  }
+  return true;
+}
+
+const CensusEngine::BucketEdge& CensusEngine::draw_listed_pair() {
+  // One uniform draw against the running weight sums; the last pair
+  // absorbs any rounding at the top of the range.
+  const double r = rng().uniform() * listed_mass_;
+  for (const ListedPair& listed : listed_) {
+    if (r < listed.cumulative) return listed.pair;
+  }
+  return listed_.back().pair;
+}
+
+inline bool CensusEngine::advance_to_candidate(double p, std::uint64_t budget) {
+  const std::uint64_t skips = geometric_skips(p);
+  const std::uint64_t at = steps();
+  if (skips >= budget - at) {
+    // The next candidate falls beyond the budget: the naive engine would
+    // have burned the rest of it on ineffective steps. The discarded
+    // geometric tail is redrawn by the next call -- exact, since the
+    // geometric distribution is memoryless.
+    stats_.geometric_skips += budget - at;
+    skip_steps(budget - at);
+    return false;
+  }
+  stats_.geometric_skips += skips;
+  skip_steps(skips + 1);
+  return true;
 }
 
 void CensusEngine::execute_and_update(int u, int v, std::uint32_t slot) {
@@ -391,8 +468,24 @@ CensusEngine::StepOutcome CensusEngine::census_step(std::uint64_t budget) {
   // effective mass is zero iff m is.
   const std::uint64_t m = total_weight_;
   if (m == 0) return StepOutcome::kQuiescent;
-  const double w_hat = weight_model_->max_weight();
   const double w_total = weight_model_->total_weight();
+
+  // Listed regime (few effective pairs; see the header): a step is
+  // effective with probability M / w_total, M the listed mass, and then
+  // executes (u, v) with probability w / M -- P = w / w_total, the law
+  // thinning reproduces.
+  if (static_cast<double>(m) < list_cap_ && list_effective_pairs()) {
+    if (!advance_to_candidate(listed_mass_ / w_total, budget)) {
+      return StepOutcome::kBudgetExhausted;
+    }
+    const BucketEdge& pair = draw_listed_pair();
+    execute_and_update(pair.u, pair.v, pair.slot);
+    ++stats_.effective_samples;
+    ++stats_.weighted_listed_steps;
+    return StepOutcome::kExecuted;
+  }
+
+  const double w_hat = weight_model_->max_weight();
   const double p_hat = static_cast<double>(m) * w_hat / w_total;
 
   if (p_hat < 1.0) {
@@ -404,19 +497,7 @@ CensusEngine::StepOutcome CensusEngine::census_step(std::uint64_t budget) {
     // consumed, and p_hat is unchanged (nothing moved), so the loop simply
     // redraws. Uniform-weight models hit w == w_hat and draw no coin.
     while (true) {
-      const std::uint64_t skips = geometric_skips(p_hat);
-      const std::uint64_t at = steps();
-      if (skips >= budget - at) {
-        // The next candidate falls beyond the budget: the naive engine
-        // would have burned the rest of it on ineffective steps. The
-        // discarded geometric tail is redrawn by the next call -- exact,
-        // since the geometric distribution is memoryless.
-        stats_.geometric_skips += budget - at;
-        skip_steps(budget - at);
-        return StepOutcome::kBudgetExhausted;
-      }
-      stats_.geometric_skips += skips;
-      skip_steps(skips + 1);
+      if (!advance_to_candidate(p_hat, budget)) return StepOutcome::kBudgetExhausted;
       const std::size_t ci = draw_class();
       const BucketEdge pair = sample_pair(classes_[ci]);
       const double w = weight_model_->pair_weight(pair.u, pair.v);
@@ -540,6 +621,7 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
     telemetry::Counter* weighted_samples = nullptr;
     telemetry::Counter* weighted_rejects = nullptr;
     telemetry::Counter* weighted_dense = nullptr;
+    telemetry::Counter* weighted_listed = nullptr;
     telemetry::Histogram* occupancy = nullptr;
   };
   thread_local Handles handles;
@@ -550,6 +632,7 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
     handles.weighted_samples = &registry.counter("census.weighted_samples");
     handles.weighted_rejects = &registry.counter("census.weighted_rejects");
     handles.weighted_dense = &registry.counter("census.weighted_dense_steps");
+    handles.weighted_listed = &registry.counter("census.weighted_listed_steps");
     handles.occupancy = &registry.histogram("census.bucket_occupancy",
                                             {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
     handles.registry_id = registry.id();
@@ -562,6 +645,7 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
     handles.weighted_samples->add(stats_.effective_samples);
     handles.weighted_rejects->add(stats_.weighted_rejects);
     handles.weighted_dense->add(stats_.weighted_dense_steps);
+    handles.weighted_listed->add(stats_.weighted_listed_steps);
   }
   if (fallback_active()) return;  // the tables may be stale; occupancy would lie
   // The occupancy distribution is sampled 1-in-8 publishes: q(q+1)/2
@@ -583,6 +667,15 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
 std::size_t CensusEngine::debug_draw_class() {
   if (effective_pair_weight() == 0) return classes_.size();
   return draw_class();
+}
+
+std::optional<std::pair<int, int>> CensusEngine::debug_listed_draw() {
+  if (fallback_active() || effective_pair_weight() == 0 ||
+      static_cast<double>(total_weight_) >= list_cap_ || !list_effective_pairs()) {
+    return std::nullopt;
+  }
+  const BucketEdge& pair = draw_listed_pair();
+  return std::pair{pair.u, pair.v};
 }
 
 const std::vector<EffectiveClass>& CensusEngine::debug_classes() {

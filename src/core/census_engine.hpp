@@ -39,11 +39,29 @@
 // candidate executes: both the step index of every effective interaction
 // and the choice of interaction are *exactly* the naive distribution (the
 // CI KS gate enforces this), at O(1) expected cost per effective
-// interaction instead of O(1/p). When p_hat >= 1 thinning is invalid and
-// the engine samples the model's own next()-equivalent law per step; that
-// only arises in weight-concentrated near-converged configurations (or,
-// uniformly, when every pair is effective, where per-step execution is
-// exactly as cheap).
+// interaction instead of O(1/p).
+//
+// Each step picks one of three exact regimes from the current
+// configuration alone:
+//   * listed draw, when m * w_min < w_hat (w_min the model's weight
+//     floor): the engine lists the m effective pairs with their exact
+//     weights (edge classes from their buckets, non-edge classes by
+//     walking the node product and skipping pairs with an edge), sums them
+//     into M, skips Geometric(M / W_s) steps and picks a pair ~ w with one
+//     uniform draw. Thinning would expect w_hat * m / M >= m candidates
+//     per step there, so the listing never costs more; a product walk
+//     that would pass w_hat / w_min pairs gives up before consuming
+//     randomness. Uniform-law models have w_min == w_hat and never list.
+//   * thinning, as above, when p_hat < 1;
+//   * dense, when p_hat >= 1: thinning is invalid and the engine samples
+//     the model's own next()-equivalent law per step; that only arises in
+//     weight-concentrated near-converged configurations (or, uniformly,
+//     when every pair is effective, where per-step execution is exactly
+//     as cheap).
+// Every regime gives P(next executed step is t steps on and executes
+// (u, v)) = (1 - E/W_s)^(t-1) * w(u,v)/W_s, E the weighted effective
+// mass, and none carries state from one step to the next, so switching
+// regimes between steps leaves the trajectory's law unchanged.
 //
 // Class selection is one Fenwick (binary indexed) tree over the class
 // weights: a transition re-reads only the classes containing a touched
@@ -103,6 +121,8 @@ class CensusEngine final : public Simulator {
     std::uint64_t effective_samples = 0;  ///< Census-sampled effective encounters.
     std::uint64_t weighted_rejects = 0;   ///< Thinning candidates rejected.
     std::uint64_t weighted_dense_steps = 0;  ///< Per-step draws in the dense regime.
+    /// Effective steps drawn from a listing of the effective pairs.
+    std::uint64_t weighted_listed_steps = 0;
   };
 
   /// The uniform random scheduler (the default, also recognized when
@@ -173,6 +193,11 @@ class CensusEngine final : public Simulator {
   /// descent); returns an index into debug_classes(), or its size when the
   /// configuration is quiescent.
   [[nodiscard]] std::size_t debug_draw_class();
+  /// One listed-regime draw (see census_step) against the current
+  /// configuration, without executing it; nullopt when the regime does not
+  /// apply (uniform-law model, m * w_min >= w_hat, an oversized product
+  /// walk, quiescence, or the naive fallback).
+  [[nodiscard]] std::optional<std::pair<int, int>> debug_listed_draw();
   /// The effective classes, after syncing the tables.
   [[nodiscard]] const std::vector<EffectiveClass>& debug_classes();
   /// Current per-class weights (same order as debug_classes()).
@@ -192,6 +217,13 @@ class CensusEngine final : public Simulator {
     /// The pair's edge slot; kNoSlot for a non-edge (an edge-free class
     /// draw has already proved the pair has no edge).
     std::uint32_t slot = 0xffffffffu;
+  };
+
+  /// An effective pair of the listed regime, with the running sum of the
+  /// listed pair weights up to and including it.
+  struct ListedPair {
+    BucketEdge pair;
+    double cumulative = 0.0;
   };
 
   enum class StepOutcome : std::uint8_t {
@@ -226,6 +258,8 @@ class CensusEngine final : public Simulator {
   /// total and the Fenwick tree.
   void touch_class(std::uint32_t ci);
   void touch_state_classes(StateId q);
+  /// The class whose weight interval [prefix, prefix + w_i) holds r < W.
+  [[nodiscard]] std::size_t class_at(std::uint64_t r) const noexcept;
   /// Draw ~ current weights, exactly. Requires total_weight_ > 0.
   [[nodiscard]] std::size_t draw_class();
 
@@ -233,10 +267,20 @@ class CensusEngine final : public Simulator {
   [[nodiscard]] std::uint64_t geometric_skips(double p);
   /// Pick a concrete unordered pair uniformly within the class.
   [[nodiscard]] BucketEdge sample_pair(const EffectiveClass& cls);
+  /// Advance the clock past Geometric(p) ineffective steps plus the
+  /// candidate step itself; false (clock at `budget`) when the candidate
+  /// falls beyond it.
+  bool advance_to_candidate(double p, std::uint64_t budget);
+  /// Fill listed_ with every effective pair and its model weight; false,
+  /// with no randomness consumed, when that would walk more than
+  /// list_cap_ pairs. The listed regime requires m < list_cap_ first.
+  bool list_effective_pairs();
+  /// Pick a listed pair with probability w / listed_mass_ (one uniform()).
+  [[nodiscard]] const BucketEdge& draw_listed_pair();
   /// One census-sampled step against weight_model_, never advancing the
-  /// clock past `budget`: thinning when p_hat < 1, per-step model sampling
-  /// otherwise. Memoryless: a kBudgetExhausted tail is redrawn by the next
-  /// call.
+  /// clock past `budget`: a listed draw when few effective pairs are left,
+  /// else thinning when p_hat < 1, else per-step model sampling.
+  /// Memoryless: a kBudgetExhausted tail is redrawn by the next call.
   StepOutcome census_step(std::uint64_t budget);
   /// Apply the encounter and incrementally repair tables and weights.
   /// `slot` is the pair's edge slot, kNoSlot when the pair has no edge;
@@ -268,6 +312,15 @@ class CensusEngine final : public Simulator {
   /// Fenwick tree over weight_, |C| + 1 entries: fenwick_[i] (1-based)
   /// sums the weights of classes (i - lowbit(i), i]; fenwick_[0] is unused.
   std::vector<std::uint64_t> fenwick_;
+
+  /// w_hat / w_min of the active model: the listed regime runs while
+  /// m < list_cap_ (m * w_min < w_hat) and walks at most list_cap_ pairs.
+  /// 0 for a model-less scheduler.
+  double list_cap_ = 0.0;
+  /// The listed regime's scratch: the effective pairs with running weight
+  /// sums, and their total M.
+  std::vector<ListedPair> listed_;
+  double listed_mass_ = 0.0;
 
   std::vector<std::vector<std::int32_t>> nodes_by_state_;
   std::vector<std::int32_t> node_pos_;

@@ -29,6 +29,12 @@ struct Encounter {
 ///    pair the scheduler can never select keeps W > 0 forever).
 ///  * max_weight() >= pair_weight(u, v) for all pairs; the tighter the
 ///    bound, the fewer thinning rejections.
+///  * 0 < min_weight() <= pair_weight(u, v) for all pairs. The engine lists
+///    the effective pairs and draws among them exactly, instead of
+///    thinning, whenever m * min_weight() < max_weight() (m effective
+///    pairs): thinning would then expect more candidates per step than
+///    there are pairs to list. A model with min_weight() == max_weight()
+///    (every uniform-law model) never takes that path.
 ///  * total_weight() is the exact sum over ALL unordered pairs, dead
 ///    nodes included (the naive scheduler samples dead pairs too; they
 ///    execute as wasted steps, and the weighted clock must agree).
@@ -56,6 +62,8 @@ class SchedulerWeightModel {
   [[nodiscard]] virtual double pair_weight(int u, int v) const = 0;
   /// Upper bound on pair_weight over all pairs.
   [[nodiscard]] virtual double max_weight() const = 0;
+  /// Strictly positive lower bound on pair_weight over all pairs.
+  [[nodiscard]] virtual double min_weight() const = 0;
   /// Exact sum of pair_weight over all n(n-1)/2 unordered pairs.
   [[nodiscard]] virtual double total_weight() const = 0;
   /// Draw a pair with probability pair_weight/total_weight; O(1) expected.
@@ -87,8 +95,9 @@ class Scheduler {
 /// The uniform pair law over n nodes: the census engine's model for the
 /// uniform random scheduler, and the model every scheduler whose
 /// single-step marginal is uniform (random-permutation, stale-biased)
-/// exports. pair_weight == max_weight everywhere, which the census engine
-/// recognizes and accepts without consuming acceptance randomness.
+/// exports. pair_weight == max_weight == min_weight everywhere, which the
+/// census engine recognizes: it accepts without consuming acceptance
+/// randomness and never lists pairs.
 class UniformPairWeightModel final : public SchedulerWeightModel {
  public:
   explicit UniformPairWeightModel(int n) noexcept
@@ -97,6 +106,7 @@ class UniformPairWeightModel final : public SchedulerWeightModel {
 
   [[nodiscard]] double pair_weight(int, int) const override { return 1.0; }
   [[nodiscard]] double max_weight() const override { return 1.0; }
+  [[nodiscard]] double min_weight() const override { return 1.0; }
   [[nodiscard]] double total_weight() const override { return total_; }
   [[nodiscard]] Encounter sample(Rng& rng) const override {
     const int u = static_cast<int>(rng.below(static_cast<std::uint64_t>(n_)));

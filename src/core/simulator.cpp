@@ -45,12 +45,12 @@ bool Simulator::execute_encounter(int u, int v, bool c) {
 
   const int initiator = resolved.swapped ? v : u;
   const int responder = resolved.swapped ? u : v;
-  apply(*resolved.rule, initiator, responder);
+  apply(*resolved.rule, initiator, responder, c);
   ++effective_steps_;
   return true;
 }
 
-void Simulator::apply(const RuleEntry& rule, int initiator, int responder) {
+void Simulator::apply(const RuleEntry& rule, int initiator, int responder, bool c) {
   const StateId a = world_.state(initiator);
   const StateId b = world_.state(responder);
 
@@ -67,7 +67,9 @@ void Simulator::apply(const RuleEntry& rule, int initiator, int responder) {
 
   world_.set_state(first, out.a);
   world_.set_state(second, out.b);
-  const bool edge_changed = world_.set_edge(first, second, out.edge);
+  // Most effective rules keep the edge as it was; skipping that no-op write
+  // spares the edge store a probe (set_edge would return false anyway).
+  const bool edge_changed = out.edge != c && world_.set_edge(first, second, out.edge);
 
   const bool out_first_after = protocol_.is_output_state(out.a);
   const bool out_second_after = protocol_.is_output_state(out.b);

@@ -116,7 +116,8 @@ class Simulator : public Engine {
   [[nodiscard]] Scheduler* mutable_scheduler() noexcept { return scheduler_.get(); }
 
  private:
-  void apply(const RuleEntry& rule, int initiator, int responder);
+  /// Apply `rule` to the pair, whose current edge state is `c`.
+  void apply(const RuleEntry& rule, int initiator, int responder, bool c);
 
   Protocol protocol_;
   World world_;

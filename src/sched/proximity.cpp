@@ -126,6 +126,8 @@ double ProximityWeightModel::excess(int u, int v) const {
          std::pow(1.0 - d / params_.radius, params_.alpha);
 }
 
+double ProximityWeightModel::min_weight() const { return ProximityScheduler::kFloor; }
+
 double ProximityWeightModel::pair_weight(int u, int v) const {
   return ProximityScheduler::kFloor + excess(u, v);
 }

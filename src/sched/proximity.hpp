@@ -44,6 +44,8 @@ class ProximityWeightModel final : public SchedulerWeightModel {
 
   [[nodiscard]] double pair_weight(int u, int v) const override;
   [[nodiscard]] double max_weight() const override { return max_weight_; }
+  /// ProximityScheduler::kFloor: far pairs weigh exactly the floor.
+  [[nodiscard]] double min_weight() const override;
   [[nodiscard]] double total_weight() const override { return total_weight_; }
   [[nodiscard]] Encounter sample(Rng& rng) const override;
 

@@ -13,8 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 namespace netcons {
 namespace {
@@ -58,7 +62,68 @@ TEST(WeightedCensus, UniformMarginalModelStepsExactlyLikeTheUniformScheduler) {
     EXPECT_EQ(uniform.effective_steps(), permutation.effective_steps()) << name;
     EXPECT_EQ(uniform.stats().weighted_rejects, 0u) << name;
     EXPECT_EQ(permutation.stats().weighted_rejects, 0u) << name;
+    // Uniform-law models have min_weight == max_weight: never listed.
+    CensusEngine stale(spec.protocol, 48, 11, make_named("stale-biased:bias=0.05"));
+    ASSERT_TRUE(stale.run_until_stable().stabilized) << name;
+    EXPECT_EQ(uniform.stats().weighted_listed_steps, 0u) << name;
+    EXPECT_EQ(permutation.stats().weighted_listed_steps, 0u) << name;
+    EXPECT_EQ(stale.stats().weighted_listed_steps, 0u) << name;
   }
+}
+
+TEST(WeightedCensus, ListedDrawMatchesPairWeights) {
+  // Simple-Global-Line under proximity ends with a handful of effective
+  // pairs at unequal distances. Step until the listed regime applies to
+  // at least three pairs whose weights differ at least twofold, then
+  // chi-square listed draws against w / M over an independent enumeration
+  // of the effective pairs.
+  const ProtocolSpec spec = *campaign::make_protocol("simple-global-line");
+  CensusEngine engine(spec.protocol, 24, 5, make_named("proximity:alpha=2:r=0.3"));
+  const SchedulerWeightModel& model = *engine.weight_model();
+  std::map<std::pair<int, int>, double> weights;
+  double mass = 0.0;
+  for (int step = 0; step < 100000 && engine.effective_pair_weight() > 0; ++step) {
+    weights.clear();
+    mass = 0.0;
+    const World& w = engine.world();
+    for (int u = 0; u < w.size(); ++u) {
+      for (int v = u + 1; v < w.size(); ++v) {
+        const StateId a = std::min(w.state(u), w.state(v));
+        const StateId b = std::max(w.state(u), w.state(v));
+        if (spec.protocol.ineffective(a, b, w.edge(u, v))) continue;
+        weights[{u, v}] = model.pair_weight(u, v);
+        mass += model.pair_weight(u, v);
+      }
+    }
+    double lo = 1.0;
+    double hi = 0.0;
+    for (const auto& [pair, weight] : weights) {
+      lo = std::min(lo, weight);
+      hi = std::max(hi, weight);
+    }
+    if (weights.size() >= 3 && hi >= 2.0 * lo && engine.debug_listed_draw()) break;
+    engine.step();
+  }
+  ASSERT_GE(weights.size(), 3u) << "no listed configuration with a weight spread";
+
+  constexpr int kDraws = 20000;
+  std::map<std::pair<int, int>, int> counts;
+  for (int i = 0; i < kDraws; ++i) {
+    const auto drawn = engine.debug_listed_draw();
+    ASSERT_TRUE(drawn.has_value());
+    const std::pair<int, int> pair = std::minmax(drawn->first, drawn->second);
+    ASSERT_TRUE(weights.count(pair)) << pair.first << "," << pair.second << " is not effective";
+    ++counts[pair];
+  }
+  double chi2 = 0.0;
+  for (const auto& [pair, weight] : weights) {
+    const double expected = kDraws * weight / mass;
+    const double d = counts[pair] - expected;
+    chi2 += d * d / expected;
+  }
+  const double df = static_cast<double>(weights.size() - 1);
+  EXPECT_LT(chi2, df + 6.0 * std::sqrt(2.0 * df) + 16.0)
+      << weights.size() << " listed pairs, " << kDraws << " draws";
 }
 
 TEST(WeightedCensus, RerunsAreBitIdentical) {
@@ -80,9 +145,12 @@ TEST(WeightedCensus, RerunsAreBitIdentical) {
 // threshold 0.12 -- the alpha ~ 0.027 critical value for 300 vs 300,
 // matching the uniform-scheduler equivalence test in test_engine.cpp.
 // Deterministic in the seeds, so none of these flake.
+// `listed_steps`, when given, receives the census runs' total
+// weighted_listed_steps.
 void expect_marginal_matches_naive(const std::string& protocol_name,
                                    const std::string& scheduler_spec, int n,
-                                   std::uint64_t base_seed, double threshold, int trials = 300) {
+                                   std::uint64_t base_seed, double threshold, int trials = 300,
+                                   std::uint64_t* listed_steps = nullptr) {
   const ProtocolSpec spec = *campaign::make_protocol(protocol_name);
   analysis::ValueDistribution naive_dist;
   analysis::ValueDistribution census_dist;
@@ -97,6 +165,7 @@ void expect_marginal_matches_naive(const std::string& protocol_name,
     const ConvergenceReport census_report = census.run_until_stable();
     ASSERT_TRUE(census_report.stabilized);
     census_dist.add(census_report.convergence_step);
+    if (listed_steps != nullptr) *listed_steps += census.stats().weighted_listed_steps;
   }
   EXPECT_LT(analysis::ks_distance(naive_dist, census_dist), threshold)
       << scheduler_spec << " on " << protocol_name << " n=" << n;
@@ -104,6 +173,15 @@ void expect_marginal_matches_naive(const std::string& protocol_name,
 
 TEST(WeightedCensus, ProximityConvergenceMatchesNaive) {
   expect_marginal_matches_naive("cycle-cover", "proximity:alpha=2:r=0.3", 32, 9090, 0.12);
+}
+
+TEST(WeightedCensus, ProximityLineMarginalMatchesNaive) {
+  // Simple-Global-Line spends most of its weighted effective steps with
+  // few effective pairs left, so this run goes through the listed regime.
+  std::uint64_t listed_steps = 0;
+  expect_marginal_matches_naive("simple-global-line", "proximity:alpha=2:r=0.3", 24, 9090, 0.12,
+                                300, &listed_steps);
+  EXPECT_GT(listed_steps, 0u);
 }
 
 TEST(WeightedCensus, StaleBiasedMarginalMatchesNaive) {
