@@ -200,35 +200,24 @@ TrialOutcome run_process_trial(const ProcessSpec& spec, int n, std::uint64_t see
         instantiate_engine(make_engine, spec.protocol, n, seed, make_scheduler);
     Engine& sim = *engine;
     if (spec.initialize) spec.initialize(sim.mutable_world());
+    Engine::StabilityOptions options;
+    options.max_steps = process_step_budget(spec, n);
     faults::FaultSession session(fault_plan, seed);
-    if (!fault_plan.empty()) {
-      // No stabilization phase to wait for: fire those events up front.
-      (void)session.fire_on_stabilization(sim);
-      sim.set_interceptor(&session);
-    }
-    const auto finished = sim.run_until(spec.done, process_step_budget(spec, n));
-    sim.set_interceptor(nullptr);
+    const ConvergenceReport report =
+        faults::run_until_stable_with_faults(sim, session, options, spec.done);
     if (telemetry::Registry* reg = telemetry::registry()) sim.publish_metrics(*reg);
-    outcome.steps_executed = sim.steps();
-    outcome.faults_injected = session.faults_injected();
-    if (outcome.faults_injected > 0) {
-      // Same damage ledger as the protocol driver, against the completion
-      // configuration instead of the stable one.
-      const std::uint64_t final_edges =
-          faults::output_edge_count(sim.protocol(), sim.world());
-      const std::uint64_t after = session.output_edges_after_damage();
-      const std::uint64_t rebuilt = final_edges > after ? final_edges - after : 0;
-      outcome.edges_deleted = session.output_edges_deleted();
-      outcome.edges_repaired = std::min(rebuilt, outcome.edges_deleted);
-      outcome.edges_residual = outcome.edges_deleted - outcome.edges_repaired;
-    }
-    if (finished) {
+    outcome.steps_executed = report.steps_executed;
+    outcome.faults_injected = report.faults_injected;
+    outcome.recovery_steps = report.recovery_steps;
+    // The damage ledger is measured against the completion configuration
+    // instead of a stable one.
+    outcome.edges_deleted = report.output_edges_deleted;
+    outcome.edges_repaired = report.output_edges_repaired;
+    outcome.edges_residual = report.output_edges_residual;
+    if (report.stabilized) {
       outcome.success = true;
       outcome.target_ok = true;  // completion IS the process's target
-      outcome.value = *finished;
-      if (outcome.faults_injected > 0 && *finished > session.last_fault_step()) {
-        outcome.recovery_steps = *finished - session.last_fault_step();
-      }
+      outcome.value = report.convergence_step;
     }
   });
 }

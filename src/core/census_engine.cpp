@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -16,31 +15,28 @@ namespace netcons {
 
 namespace {
 
-/// Report a naive fallback. With an ambient telemetry registry the event is
-/// structured -- the census.fallback counter plus a per-reason counter
-/// (census.fallback.scheduler / census.fallback.interceptor) count every
+/// Report the naive fallback (a scheduler without a weight model). With an
+/// ambient telemetry registry the event is structured -- the
+/// census.fallback and census.fallback.scheduler counters count every
 /// occurrence, and a trace instant marks when it happened -- and stderr
-/// stays quiet. Without telemetry, one stderr line per process per reason:
-/// a campaign constructs thousands of engines, and one identical note per
-/// trial would drown the console without saying anything new.
-void note_fallback(std::atomic<bool>& noted, const char* reason_key, const char* reason_text) {
+/// stays quiet. Without telemetry, one stderr line per process: a campaign
+/// constructs thousands of engines, and one identical note per trial would
+/// drown the console without saying anything new.
+void note_fallback() {
   if (telemetry::Registry* reg = telemetry::registry()) {
     reg->add("census.fallback");
-    reg->add(std::string("census.fallback.") + reason_key);
+    reg->add("census.fallback.scheduler");
     if (telemetry::Tracer* tracer = telemetry::tracer()) {
       tracer->instant("census.fallback", "engine");
     }
     return;
   }
+  static std::atomic<bool> noted{false};
   if (noted.exchange(true)) return;
   std::fprintf(stderr,
-               "census engine: cannot honor %s exactly; falling back to naive "
-               "per-step execution\n",
-               reason_text);
+               "census engine: cannot honor a non-uniform scheduler exactly; falling back "
+               "to naive per-step execution\n");
 }
-
-std::atomic<bool> g_noted_scheduler{false};
-std::atomic<bool> g_noted_interceptor{false};
 
 /// The lowest set bit of i: the span of Fenwick node i.
 constexpr std::size_t lowbit(std::size_t i) noexcept { return i & (~i + 1); }
@@ -77,26 +73,13 @@ CensusEngine::CensusEngine(Protocol protocol, int n, std::uint64_t seed,
     weight_model_ = &uniform_model_.emplace(n);
   } else {
     weight_model_ = Simulator::mutable_scheduler()->weight_model(rng(), n);
-    if (weight_model_ == nullptr) {
-      note_fallback(g_noted_scheduler, "scheduler", "a non-uniform scheduler");
-    }
+    if (weight_model_ == nullptr) note_fallback();
   }
   // Model weights are static for the trial, so the listed regime's bound
   // is too: exactly 1 for uniform-law models, which therefore never list.
   if (weight_model_ != nullptr) {
     list_cap_ = weight_model_->max_weight() / weight_model_->min_weight();
   }
-}
-
-void CensusEngine::set_interceptor(StepInterceptor* interceptor) noexcept {
-  if (interceptor != nullptr && weight_model_ != nullptr) {
-    note_fallback(g_noted_interceptor, "interceptor", "a step interceptor");
-  }
-  interceptor_installed_ = interceptor != nullptr;
-  // Whatever the interceptor (and the naive per-step phase under it)
-  // mutates moves the world's version, so census sampling resumes with one
-  // full rebuild.
-  Simulator::set_interceptor(interceptor);
 }
 
 std::uint32_t CensusEngine::bucket_key(StateId a, StateId b) const noexcept {
@@ -297,17 +280,6 @@ std::uint64_t CensusEngine::effective_pair_weight() {
   return total_weight_;
 }
 
-std::uint64_t CensusEngine::geometric_skips(double p) {
-  if (p >= 1.0) return 0;
-  // Inverse-CDF draw for the number of failures before the first success:
-  // floor(ln U / ln(1 - p)), U in (0, 1].
-  const double u = 1.0 - rng().uniform();
-  const double g = std::log(u) / std::log1p(-p);
-  if (!(g >= 0.0)) return 0;
-  if (g >= 9.0e18) return std::numeric_limits<std::uint64_t>::max() / 2;
-  return static_cast<std::uint64_t>(g);
-}
-
 CensusEngine::BucketEdge CensusEngine::sample_pair(const EffectiveClass& cls) {
   if (cls.c) {
     // The stored (u, v) orientation is fine even for a == b: the model's
@@ -396,7 +368,7 @@ const CensusEngine::BucketEdge& CensusEngine::draw_listed_pair() {
 }
 
 inline bool CensusEngine::advance_to_candidate(double p, std::uint64_t budget) {
-  const std::uint64_t skips = geometric_skips(p);
+  const std::uint64_t skips = rng().geometric_failures(p);
   const std::uint64_t at = steps();
   if (skips >= budget - at) {
     // The next candidate falls beyond the budget: the naive engine would

@@ -71,21 +71,18 @@
 //
 // The tables mirror one World::version(): the engine records the version
 // after every rebuild and after each of its own encounters, so any
-// mutation it did not make itself -- a custom initializer, a fault, a
-// test holding mutable_world() across steps -- leaves the world ahead of
-// the tables, and the next sampled step pays one full rebuild.
+// mutation it did not make itself -- a custom initializer, a fault event
+// fired through mutable_world(), a test holding mutable_world() across
+// steps -- leaves the world ahead of the tables, and the next sampled step
+// pays one full rebuild. Faults are engine events, not per-step hooks: the
+// fault driver (faults/fault_session.hpp) runs the engine to the step of
+// the next event with run / run_until_stable, fires it, and sampling
+// resumes exactly, since the geometric skip is memoryless.
 //
-// Exactness boundaries (the engine falls back -- one stderr note, never a
-// throw -- to the inherited naive per-step semantics):
-//   * a non-uniform scheduler that exports *no* weight model (e.g. an
-//     exact script, which must execute step-for-step);
-//   * an installed StepInterceptor (fault injection): hooks must observe
-//     every step, which skipping contradicts. Census sampling resumes when
-//     the interceptor is cleared (skipping is memoryless, so resuming
-//     mid-run stays exact) after one full rebuild, since the per-step
-//     phase moved the world's version. Under an interceptor a
-//     weight-model scheduler runs naive per-step with its own next(), so
-//     the fault phase sees the scheduler's exact (history-dependent) law.
+// Exactness boundary: a non-uniform scheduler that exports *no* weight
+// model (e.g. an exact script, which must execute step-for-step) makes the
+// engine fall back, for its whole lifetime, to the inherited naive
+// per-step semantics (one stderr note, never a throw). Nothing else does.
 #pragma once
 
 #include "core/simulator.hpp"
@@ -138,11 +135,6 @@ class CensusEngine final : public Simulator {
 
   [[nodiscard]] const char* engine_name() const noexcept override { return "census"; }
 
-  /// A non-null interceptor switches to exact per-step execution (with a
-  /// one-line stderr note, once per process); clearing it resumes census
-  /// sampling.
-  void set_interceptor(StepInterceptor* interceptor) noexcept override;
-
   bool step() override;
   void run(std::uint64_t count) override;
   [[nodiscard]] std::optional<std::uint64_t> run_until(
@@ -157,12 +149,10 @@ class CensusEngine final : public Simulator {
     return Simulator::is_quiescent();
   }
 
-  /// Whether the engine is currently executing per-step naive semantics
-  /// instead of census sampling (model-less scheduler or live
-  /// interceptor). Weighted census sampling is NOT a fallback.
-  [[nodiscard]] bool fallback_active() const noexcept {
-    return weight_model_ == nullptr || interceptor_installed_;
-  }
+  /// Whether the engine executes per-step naive semantics instead of
+  /// census sampling (a scheduler without a weight model). Weighted census
+  /// sampling is NOT a fallback.
+  [[nodiscard]] bool fallback_active() const noexcept { return weight_model_ == nullptr; }
 
   /// The model the scheduler exported, nullptr for the uniform random
   /// scheduler (whose model the engine owns) and on the fallback path.
@@ -264,7 +254,6 @@ class CensusEngine final : public Simulator {
   [[nodiscard]] std::size_t draw_class();
 
   // --- stepping ---
-  [[nodiscard]] std::uint64_t geometric_skips(double p);
   /// Pick a concrete unordered pair uniformly within the class.
   [[nodiscard]] BucketEdge sample_pair(const EffectiveClass& cls);
   /// Advance the clock past Geometric(p) ineffective steps plus the
@@ -287,7 +276,6 @@ class CensusEngine final : public Simulator {
   /// every caller already knows which, so no adjacency scan happens here.
   void execute_and_update(int u, int v, std::uint32_t slot);
 
-  bool interceptor_installed_ = false;
   /// The uniform random scheduler's model, owned here.
   std::optional<UniformPairWeightModel> uniform_model_;
   /// The active model: &*uniform_model_, or one the scheduler exported

@@ -4,7 +4,10 @@
 // scheduled encounters are applied. The interface is everything the
 // surrounding layers (fault injection, campaign trials, analysis sweeps,
 // CLI tools) need from an execution core: stepping, counters, world access,
-// the pre-step interceptor hook, and sound stabilization detection.
+// and sound stabilization detection. Faults are engine events, not
+// per-step hooks: the fault driver (faults/fault_session.hpp) runs an
+// engine to the step of the next event with run / run_until_stable and
+// fires it through mutable_world(), so no engine observes every step.
 //
 // Two engines implement it today:
 //  * NaiveEngine (= Simulator, core/simulator.hpp) executes every
@@ -42,20 +45,11 @@ namespace netcons {
 /// Sound recognizer of output-stable configurations (beyond quiescence).
 using StabilityCertificate = std::function<bool(const Protocol&, const World&)>;
 
-class Engine;
-
-/// Hook invoked before every scheduled encounter. The one user today is the
-/// fault-injection layer (src/faults/), which mutates the world between
-/// steps; engines pay only a null-pointer check when no interceptor is
-/// installed, keeping the fault-free hot path untouched. An engine that
-/// cannot honor per-step hooks exactly (CensusEngine skips ineffective
-/// steps wholesale) must fall back to exact per-step execution while one is
-/// installed.
-class StepInterceptor {
- public:
-  virtual ~StepInterceptor() = default;
-  virtual void before_step(Engine& engine) = 0;
-};
+/// Vestigial: declared only so engine wrappers that still override
+/// Engine::set_interceptor (perfbench's TimedEngine) keep compiling. The
+/// type is never defined, so nothing can install one; delete it and
+/// set_interceptor once no wrapper overrides the method.
+class StepInterceptor;
 
 struct ConvergenceReport {
   bool stabilized = false;       ///< A sound stability condition was reached.
@@ -88,9 +82,9 @@ class Engine {
   [[nodiscard]] virtual const Protocol& protocol() const noexcept = 0;
   [[nodiscard]] virtual const World& world() const noexcept = 0;
   /// Mutable access for custom initial configurations (e.g. Replication's
-  /// input graph) and fault injection. An engine that caches derived state
-  /// (CensusEngine's multiplicity tables) must treat this as an
-  /// invalidation signal.
+  /// input graph) and fault events. An engine that caches derived state
+  /// (CensusEngine's multiplicity tables) must treat mutations through it
+  /// as an invalidation signal (CensusEngine follows World::version()).
   [[nodiscard]] virtual World& mutable_world() noexcept = 0;
   [[nodiscard]] virtual Rng& rng() noexcept = 0;
 
@@ -98,8 +92,9 @@ class Engine {
   [[nodiscard]] virtual std::uint64_t effective_steps() const noexcept = 0;
   [[nodiscard]] virtual std::uint64_t last_output_change() const noexcept = 0;
 
-  /// Install (or clear, with nullptr) the pre-step hook. Not owned.
-  virtual void set_interceptor(StepInterceptor* interceptor) noexcept = 0;
+  /// Vestigial no-op kept only for wrappers that override it (see
+  /// StepInterceptor above).
+  virtual void set_interceptor(StepInterceptor* /*unused*/) noexcept {}
 
   /// Record that the output graph was changed externally (a fault deleted an
   /// output edge or removed an output node), so convergence_step accounting

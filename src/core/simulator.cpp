@@ -16,7 +16,6 @@ Simulator::Simulator(Protocol protocol, int n, std::uint64_t seed,
 }
 
 bool Simulator::naive_step() {
-  if (interceptor_ != nullptr) interceptor_->before_step(*this);
   const Encounter e = scheduler_->next(rng_, world_.size());
   ++steps_;
   return execute_encounter(e.first, e.second);

@@ -39,7 +39,7 @@ class Simulator : public Engine {
   [[nodiscard]] const Protocol& protocol() const noexcept override { return protocol_; }
   [[nodiscard]] const World& world() const noexcept override { return world_; }
   /// Mutable access for custom initial configurations (e.g. Replication's
-  /// input graph); use before stepping.
+  /// input graph) and for fault events fired between steps.
   [[nodiscard]] World& mutable_world() noexcept override { return world_; }
   [[nodiscard]] Rng& rng() noexcept override { return rng_; }
 
@@ -49,10 +49,6 @@ class Simulator : public Engine {
   }
   [[nodiscard]] std::uint64_t last_output_change() const noexcept override {
     return last_output_change_;
-  }
-
-  void set_interceptor(StepInterceptor* interceptor) noexcept override {
-    interceptor_ = interceptor;
   }
 
   void note_output_change() noexcept override { last_output_change_ = steps_; }
@@ -90,8 +86,8 @@ class Simulator : public Engine {
   // paper's step clock over interactions proven ineffective.
 
   /// Resolve and apply the encounter (u, v) against the current edge state.
-  /// Returns true if it was effective. Does NOT touch the step counter or
-  /// the interceptor; callers account for the step themselves.
+  /// Returns true if it was effective. Does NOT touch the step counter;
+  /// callers account for the step themselves.
   bool execute_encounter(int u, int v);
   /// As above with the caller-known current edge state of {u, v}, sparing
   /// the probe when an engine's own tables already answer it.
@@ -123,7 +119,6 @@ class Simulator : public Engine {
   World world_;
   Rng rng_;
   std::unique_ptr<Scheduler> scheduler_;
-  StepInterceptor* interceptor_ = nullptr;
   std::uint64_t steps_ = 0;
   std::uint64_t effective_steps_ = 0;
   std::uint64_t last_output_change_ = 0;

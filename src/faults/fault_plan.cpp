@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -54,16 +55,20 @@ FaultEvent parse_event(const std::string& spec, const std::string& text) {
     if (end == value.c_str() || *end != '\0') {
       fail(spec, "non-numeric value in '" + part + "'");
     }
-    // k/at/every/times/for are counts: reject 'crash:k=2.9' instead of
-    // silently truncating to a different experiment.
-    auto integer_at_least_one = [&](const char* what) {
-      if (numeric < 1 || numeric != std::floor(numeric)) {
-        fail(spec, std::string(what) + " must be an integer >= 1 in '" + part + "'");
+    // k/at/every/times/for are counts: reject 'crash:k=2.9' -- or a value
+    // past what the field holds exactly -- instead of silently turning it
+    // into a different experiment.
+    auto integer_at_least_one = [&](const char* what, double max) {
+      if (!(numeric >= 1 && numeric <= max) || numeric != std::floor(numeric)) {
+        fail(spec, std::string(what) + " must be an integer in [1, " +
+                       std::to_string(static_cast<std::uint64_t>(max)) + "] in '" + part + "'");
       }
     };
+    constexpr double kMaxCount = std::numeric_limits<int>::max();
+    constexpr double kMaxSteps = 9007199254740991.0;  // 2^53 - 1: every integer is exact
     const bool burst = event.kind != FaultKind::EdgeRate;
     if (key == "k" && (event.kind == FaultKind::Crash || event.kind == FaultKind::Reset)) {
-      integer_at_least_one("k");
+      integer_at_least_one("k", kMaxCount);
       event.count = static_cast<int>(numeric);
     } else if (key == "f" && event.kind == FaultKind::EdgeBurst) {
       if (!(numeric > 0.0 && numeric <= 1.0)) fail(spec, "f must be in (0, 1] in '" + part + "'");
@@ -72,16 +77,16 @@ FaultEvent parse_event(const std::string& spec, const std::string& text) {
       if (!(numeric > 0.0 && numeric < 1.0)) fail(spec, "p must be in (0, 1) in '" + part + "'");
       event.rate = numeric;
     } else if (key == "at") {
-      integer_at_least_one("at");
+      integer_at_least_one("at", kMaxSteps);
       event.at = static_cast<std::uint64_t>(numeric);
     } else if (key == "every" && burst) {
-      integer_at_least_one("every");
+      integer_at_least_one("every", kMaxSteps);
       event.every = static_cast<std::uint64_t>(numeric);
     } else if (key == "times" && burst) {
-      integer_at_least_one("times");
+      integer_at_least_one("times", kMaxCount);
       event.times = static_cast<int>(numeric);
     } else if (key == "for" && event.kind == FaultKind::EdgeRate) {
-      integer_at_least_one("for");
+      integer_at_least_one("for", kMaxSteps);
       event.window = static_cast<std::uint64_t>(numeric);
     } else {
       fail(spec, "unknown parameter '" + key + "' for kind '" + kind + "'");
@@ -167,7 +172,7 @@ const std::string& fault_plan_grammar() {
       "  none\n"
       "  crash:k=K[:target=V][:at=S][:every=E:times=T]      crash K nodes\n"
       "  edge-burst:f=F[:at=S][:every=E:times=T] delete ceil(F * active edges)\n"
-      "  edge-rate:p=P[:at=S][:for=W]            each step w.p. P delete one edge\n"
+      "  edge-rate:p=P[:at=S][:for=W]            delete one edge per Geometric(P) gap\n"
       "  reset:k=K[:target=V][:at=S][:every=E:times=T]      reset K nodes to q0\n"
       "victim targets V: random (default), max-degree, leader\n"
       "burst kinds without at/every fire once at first stabilization";

@@ -9,8 +9,10 @@
 //   crash:k=1:at=5000              crash 1 node at step 5000
 //   edge-burst:f=0.1               delete 10% of active edges at stabilization
 //   edge-burst:f=0.05:at=100:every=1000:times=5   periodic bursts
-//   edge-rate:p=1e-4               each step w.p. p delete one active edge,
-//                                  for a 16*n^2-step window (override: for=W)
+//   edge-rate:p=1e-4               delete one active edge after each gap
+//                                  drawn Geometric(p), same law as a
+//                                  per-step coin, for a 16*n^2-step window
+//                                  (override: for=W)
 //   reset:k=3                      reset 3 random nodes to q0 at stabilization
 //   crash:k=1:target=max-degree    crash the highest-degree node (adversarial)
 //   crash:k=1:target=leader        crash a leader/walker node (adversarial)
@@ -28,7 +30,8 @@
 // regime the recovery metrics are defined for. With `at`/`every` they are
 // step-scheduled (first firing at `at`, or at `every` when only `every` is
 // given, then every `every` steps, `times` firings total). `edge-rate` is
-// always step-driven, active in [at, at + window).
+// always step-driven, active in [at, at + window). An event at step s fires
+// before the s-th interaction (see faults/fault_session.hpp).
 #pragma once
 
 #include <cstdint>
@@ -51,13 +54,16 @@ struct FaultEvent {
   VictimTarget target = VictimTarget::Random;  ///< Crash/reset victim selector.
   int count = 1;          ///< Crash/reset victims per firing (k=).
   double fraction = 0.1;  ///< Edge-burst: fraction of active edges (f=).
-  double rate = 1e-4;     ///< Edge-rate: per-step deletion probability (p=).
+  double rate = 1e-4;     ///< Edge-rate: deletion probability per step (p=);
+                          ///< gaps are drawn Geometric(p).
   std::uint64_t at = 0;     ///< First firing step; 0 = at stabilization (burst
                             ///< kinds) / from the first step (edge-rate).
   std::uint64_t every = 0;  ///< Repeat period in steps (burst kinds).
   int times = 1;            ///< Total firings (burst kinds).
   std::uint64_t window = 0; ///< Edge-rate active window in steps (for=);
                             ///< 0 derives 16*n^2 at arm time.
+
+  bool operator==(const FaultEvent&) const = default;
 
   /// Burst event that fires at certified stabilization (no step schedule).
   [[nodiscard]] bool stabilization_triggered() const noexcept {

@@ -112,40 +112,61 @@ void FaultSession::ensure_armed(const Engine& sim) {
     Armed armed;
     armed.event = event;
     if (event.kind == FaultKind::EdgeRate) {
-      const std::uint64_t start = event.at ? event.at : 1;
+      // Steps [at, at + window) each delete w.p. p, so the firings fall on
+      // clock readings [at - 1, at + window - 2]; the first one a
+      // Geometric(p) gap in.
       const std::uint64_t window = event.window ? event.window : 16 * n * n;
-      armed.next_at = start;
-      armed.window_end = start + window - 1;
+      armed.window_first = (event.at ? event.at : 1) - 1;
+      armed.window_last = saturating_add(armed.window_first, window - 1);
+      armed.next_at = saturating_add(armed.window_first, rng_.geometric_failures(event.rate));
     } else if (!event.stabilization_triggered()) {
-      armed.next_at = event.at ? event.at : event.every;
+      armed.next_at = (event.at ? event.at : event.every) - 1;
     }
     armed_events_.push_back(armed);
   }
 }
 
-bool FaultSession::armed_exhausted(const Armed& armed) const noexcept {
-  if (armed.event.kind == FaultKind::EdgeRate) return false;  // window-checked by caller
-  return armed.fired >= armed.event.times;
+bool FaultSession::scheduled_pending(const Armed& armed) noexcept {
+  if (armed.event.kind == FaultKind::EdgeRate) return armed.next_at <= armed.window_last;
+  return !armed.event.stabilization_triggered() && armed.fired < armed.event.times;
 }
 
-void FaultSession::before_step(Engine& sim) {
+std::optional<std::uint64_t> FaultSession::next_event_step(const Engine& sim) {
   ensure_armed(sim);
-  const std::uint64_t upcoming = sim.steps() + 1;
+  std::optional<std::uint64_t> next;
+  for (const Armed& armed : armed_events_) {
+    if (!scheduled_pending(armed)) continue;
+    const std::uint64_t candidate = std::max(armed.next_at, sim.steps());
+    if (!next || candidate < *next) next = candidate;
+  }
+  return next;
+}
+
+void FaultSession::fire_due(Engine& sim) {
+  ensure_armed(sim);
+  const std::uint64_t now = sim.steps();
   for (Armed& armed : armed_events_) {
-    if (armed.event.kind == FaultKind::EdgeRate) {
-      if (upcoming >= armed.next_at && upcoming <= armed.window_end &&
-          rng_.bernoulli(armed.event.rate)) {
+    while (scheduled_pending(armed) && armed.next_at <= now) {
+      if (armed.event.kind == FaultKind::EdgeRate) {
         delete_one_random_edge(sim);
-      }
-    } else if (!armed.event.stabilization_triggered()) {
-      while (!armed_exhausted(armed) && armed.next_at <= upcoming) {
+        armed.next_at = saturating_add(now + 1, rng_.geometric_failures(armed.event.rate));
+      } else {
         fire_burst(sim, armed);
-        ++armed.fired;
-        if (armed.event.every == 0) break;
-        armed.next_at += armed.event.every;
+        // Without a period a burst fires once (the grammar requires every=E
+        // for times > 1).
+        armed.fired = armed.event.every ? armed.fired + 1 : armed.event.times;
+        armed.next_at = saturating_add(armed.next_at, armed.event.every);
       }
     }
   }
+}
+
+bool FaultSession::rate_window_open(const Engine& sim) {
+  ensure_armed(sim);
+  return std::any_of(armed_events_.begin(), armed_events_.end(), [&](const Armed& armed) {
+    return armed.event.kind == FaultKind::EdgeRate && scheduled_pending(armed) &&
+           sim.steps() >= armed.window_first;
+  });
 }
 
 bool FaultSession::fire_on_stabilization(Engine& sim) {
@@ -159,42 +180,6 @@ bool FaultSession::fire_on_stabilization(Engine& sim) {
     }
   }
   return fired;
-}
-
-bool FaultSession::stabilization_pending() const noexcept {
-  if (!armed_) {
-    for (const FaultEvent& event : plan_.events) {
-      if (event.stabilization_triggered()) return true;
-    }
-    return false;
-  }
-  for (const Armed& armed : armed_events_) {
-    if (armed.event.stabilization_triggered() && armed.fired == 0) return true;
-  }
-  return false;
-}
-
-std::optional<std::uint64_t> FaultSession::next_scheduled(const Engine& sim) {
-  ensure_armed(sim);
-  const std::uint64_t upcoming = sim.steps() + 1;
-  std::optional<std::uint64_t> next;
-  for (const Armed& armed : armed_events_) {
-    std::uint64_t candidate = 0;
-    if (armed.event.kind == FaultKind::EdgeRate) {
-      if (upcoming > armed.window_end) continue;
-      // Run through the whole window: deletions inside it are stochastic.
-      candidate = armed.window_end;
-    } else {
-      if (armed.event.stabilization_triggered() || armed_exhausted(armed)) continue;
-      candidate = std::max(armed.next_at, upcoming);
-    }
-    if (!next || candidate < *next) next = candidate;
-  }
-  return next;
-}
-
-bool FaultSession::exhausted(const Engine& sim) {
-  return !stabilization_pending() && !next_scheduled(sim).has_value();
 }
 
 std::uint64_t FaultSession::episode_bound() const noexcept {
@@ -273,9 +258,17 @@ void FaultSession::fire_burst(Engine& sim, Armed& armed) {
 
 void FaultSession::delete_one_random_edge(Engine& sim) {
   World& world = sim.mutable_world();
-  const std::vector<std::pair<int, int>> edges = active_edge_list(world);
-  if (edges.empty()) return;  // nothing to delete; not a firing
-  const auto [u, v] = edges[static_cast<std::size_t>(rng_.below(edges.size()))];
+  const auto edges = static_cast<std::uint64_t>(world.active_edge_count());
+  if (edges == 0) return;  // nothing to delete; not a firing
+  // Every edge owns two of the 2m endpoint slots, so a uniform slot (a
+  // node by degree, then one of its neighbors) is a uniform edge, in O(n)
+  // rather than a walk over the whole edge store.
+  std::uint64_t slot = rng_.below(2 * edges);
+  int u = 0;
+  for (; slot >= static_cast<std::uint64_t>(world.active_degree(u)); ++u) {
+    slot -= static_cast<std::uint64_t>(world.active_degree(u));
+  }
+  const int v = world.active_neighbors(u)[static_cast<std::size_t>(slot)];
   const bool output = is_output_edge(sim.protocol(), world, u, v);
   world.set_edge(u, v, false);
   record_firing(sim, output ? 1 : 0, false);
@@ -292,53 +285,87 @@ void FaultSession::record_firing(Engine& sim, std::uint64_t deleted_output,
 }
 
 ConvergenceReport run_until_stable_with_faults(Engine& sim, FaultSession& session,
-                                               const Engine::StabilityOptions& options) {
-  if (session.plan().empty()) return sim.run_until_stable(options);
+                                               const Engine::StabilityOptions& options,
+                                               const std::function<bool(const World&)>& done) {
+  if (session.plan().empty() && !done) return sim.run_until_stable(options);
+  const Engine::StabilityBudget budget =
+      Engine::resolve_stability_budget(sim.world().size(), options);
+  const std::uint64_t check_interval = budget.check_interval;
+  const std::uint64_t phase_budget = budget.max_steps;
+  // A process's budget covers its whole run. A protocol's covers one
+  // phase, and every firing opens a new one, up to a total cap.
+  const std::uint64_t total_cap =
+      done ? phase_budget : saturating_mul(phase_budget, session.episode_bound() + 1);
+  const auto renewed = [&] {
+    return std::min(total_cap, saturating_add(sim.steps(), phase_budget));
+  };
+  if (done) (void)session.fire_on_stabilization(sim);  // nothing to wait for
 
-  const std::uint64_t phase_budget =
-      Engine::resolve_stability_budget(sim.world().size(), options).max_steps;
-  const std::uint64_t total_cap = saturating_mul(phase_budget, session.episode_bound() + 1);
-
-  sim.set_interceptor(&session);
   ConvergenceReport report;
+  std::uint64_t deadline = renewed();
   while (true) {
-    Engine::StabilityOptions phase = options;
-    phase.max_steps = std::min(total_cap, saturating_add(sim.steps(), phase_budget));
-    report = sim.run_until_stable(phase);
-    if (!report.stabilized) break;
-    if (session.stabilization_pending()) {
-      session.fire_on_stabilization(sim);
+    const std::optional<std::uint64_t> next = session.next_event_step(sim);
+    if (next == sim.steps()) {
+      session.fire_due(sim);
+      deadline = renewed();
       continue;
     }
-    if (const auto next = session.next_scheduled(sim)) {
-      if (*next >= total_cap) {
-        // The remaining schedule lies beyond the budget; report the timeout
-        // honestly rather than pretending the plan completed.
-        report.stabilized = false;
-        break;
-      }
-      sim.run(std::max<std::uint64_t>(1, *next - sim.steps()));
+    const std::uint64_t cap = next ? std::min(deadline, *next) : deadline;
+    if (done) {
+      const std::optional<std::uint64_t> at = sim.run_until(done, cap);
+      report.stabilized = at.has_value();
+      report.convergence_step = at.value_or(0);
+    } else if (next == cap &&
+               (session.rate_window_open(sim) || cap - sim.steps() < check_interval)) {
+      sim.run(cap - sim.steps());  // no stability check is due before the event
+      continue;
+    } else {
+      Engine::StabilityOptions phase = options;
+      phase.max_steps = cap;
+      const std::uint64_t origin = sim.steps();
+      report = sim.run_until_stable(phase);
+      // The census engine sees quiescence at the step it happens, the naive
+      // engine at its next check point (origin + k * check_interval, or the
+      // cap). Move on to that point, so both engines time what follows by
+      // the same law.
+      const std::uint64_t checks = (sim.steps() - origin + check_interval - 1) / check_interval;
+      const std::uint64_t checked = std::min(cap, origin + checks * check_interval);
+      if (report.stabilized && checked > sim.steps()) sim.run(checked - sim.steps());
+    }
+    if (!report.stabilized) {
+      if (sim.steps() >= deadline) break;
+      continue;  // stopped at the next event
+    }
+    if (done) break;  // a process ends at completion
+    if (session.fire_on_stabilization(sim)) {
+      deadline = renewed();
       continue;
     }
-    break;  // stable and the plan is exhausted
+    if (!next) break;  // stable, and nothing left to fire
+    if (*next >= total_cap) {
+      // The remaining schedule lies beyond the budget; report the timeout
+      // honestly rather than pretending the plan completed.
+      report.stabilized = false;
+      break;
+    }
+    sim.run(*next - sim.steps());
   }
-  sim.set_interceptor(nullptr);
-
   report.steps_executed = sim.steps();
-  report.convergence_step = sim.last_output_change();
+  if (!done) report.convergence_step = sim.last_output_change();
   report.faults_injected = session.faults_injected();
-  if (report.faults_injected > 0) {
-    report.last_fault_step = session.last_fault_step();
-    report.recovery_steps = report.convergence_step > report.last_fault_step
-                                ? report.convergence_step - report.last_fault_step
-                                : 0;
-    const std::uint64_t final_edges = output_edge_count(sim.protocol(), sim.world());
-    const std::uint64_t after = session.output_edges_after_damage();
-    const std::uint64_t rebuilt = final_edges > after ? final_edges - after : 0;
-    report.output_edges_deleted = session.output_edges_deleted();
-    report.output_edges_repaired = std::min(rebuilt, report.output_edges_deleted);
-    report.output_edges_residual = report.output_edges_deleted - report.output_edges_repaired;
-  }
+  if (report.faults_injected == 0) return report;
+  // The damage ledger, against the final configuration: output edges
+  // deleted by faults vs. rebuilt (by count) vs. still missing.
+  report.last_fault_step = session.last_fault_step();
+  report.recovery_steps = report.convergence_step > report.last_fault_step
+                              ? report.convergence_step - report.last_fault_step
+                              : 0;
+  const std::uint64_t final_edges = output_edge_count(sim.protocol(), sim.world());
+  const std::uint64_t after = session.output_edges_after_damage();
+  const std::uint64_t rebuilt = final_edges > after ? final_edges - after : 0;
+  report.output_edges_deleted = session.output_edges_deleted();
+  report.output_edges_repaired = std::min(rebuilt, report.output_edges_deleted);
+  report.output_edges_residual = report.output_edges_deleted - report.output_edges_repaired;
   return report;
 }
 

@@ -7,6 +7,7 @@
 // statistically unrelated streams.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -84,6 +85,18 @@ class Rng {
   /// Uniform double in [0, 1) with 53 bits of precision.
   [[nodiscard]] double uniform() noexcept {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
+
+  /// Failures before the first success of Bernoulli(p) trials, by one
+  /// inverse-CDF draw: floor(ln U / ln(1 - p)), U in (0, 1]. 0 when p >= 1;
+  /// saturates at 2^63 - 1 for p so small the draw overflows.
+  [[nodiscard]] std::uint64_t geometric_failures(double p) noexcept {
+    if (p >= 1.0) return 0;
+    const double u = 1.0 - uniform();
+    const double g = std::log(u) / std::log1p(-p);
+    if (!(g >= 0.0)) return 0;
+    if (g >= 9.0e18) return std::numeric_limits<std::uint64_t>::max() / 2;
+    return static_cast<std::uint64_t>(g);
   }
 
   /// Derive an independent sub-stream seed (e.g. one per trial of a sweep).

@@ -1,11 +1,12 @@
 // Web-scale census machinery: the Fenwick-tree class sampler against an
 // independent linear scan, incrementally updated SoA tables against
 // from-scratch rebuilds, the World::version() sync rule (outside mutations
-// and interceptor phases cost one rebuild), and the World pair-set edge
+// and fault events cost one rebuild), and the World pair-set edge
 // storage that serves populations past the dense-bitset limit.
 #include "core/census_engine.hpp"
 
 #include "campaign/registry.hpp"
+#include "faults/fault_session.hpp"
 
 #include <gtest/gtest.h>
 
@@ -207,41 +208,29 @@ TEST(CensusDeltas, InterleavedStepsAndMutationsMatchFromScratchRebuild) {
   EXPECT_EQ(delta_view, engine.debug_table_snapshot());
 }
 
-/// Counts the steps it observes; mutates nothing.
-struct CountingInterceptor final : StepInterceptor {
-  int calls = 0;
-  void before_step(Engine&) override { ++calls; }
-};
-
-TEST(CensusDeltas, SamplingResumesAfterInterceptorWithOneRebuild) {
-  // The naive per-step phase under an interceptor moves the world past the
-  // tables; clearing the interceptor must cost exactly one full rebuild,
-  // after which census sampling resumes on tables equal to a from-scratch
-  // rebuild.
+TEST(CensusDeltas, EveryFaultKindCostsOneRebuildPerFiring) {
+  // Faults are engine events: the census engine never falls back to
+  // per-step execution under them, and each firing moves the world past
+  // the tables once, costing exactly one full rebuild on the next sampled
+  // step (the first rebuild builds the tables).
   const ProtocolSpec spec = *campaign::make_protocol("global-star");
-  CensusEngine engine(spec.protocol, 40, 5);
-  engine.run(200);
-  ASSERT_GT(engine.stats().effective_samples, 0u);
-
-  CountingInterceptor interceptor;
-  engine.set_interceptor(&interceptor);
-  const std::uint64_t rebuilds_before = engine.stats().full_rebuilds;
-  const std::uint64_t samples_before = engine.stats().effective_samples;
-  const std::uint64_t effective_before = engine.effective_steps();
-  engine.run(2000);
-  EXPECT_EQ(interceptor.calls, 2000);
-  ASSERT_GT(engine.effective_steps(), effective_before);  // the world moved
-  EXPECT_EQ(engine.stats().effective_samples, samples_before);
-  engine.set_interceptor(nullptr);
-
-  engine.run(2000);
-  EXPECT_EQ(engine.stats().full_rebuilds, rebuilds_before + 1);
-  EXPECT_GT(engine.stats().effective_samples, samples_before);
-  EXPECT_EQ(interceptor.calls, 2000);
-  const std::string resumed_view = engine.debug_table_snapshot();
-  EXPECT_EQ(engine.stats().full_rebuilds, rebuilds_before + 1);
-  engine.debug_force_full_rebuild();
-  EXPECT_EQ(resumed_view, engine.debug_table_snapshot());
+  for (const char* spec_text :
+       {"crash:k=2", "edge-burst:f=0.3", "reset:k=2", "crash:k=1:at=500:every=700:times=3",
+        "edge-burst:f=0.2:at=300:every=900:times=4", "edge-rate:p=0.002:for=4000"}) {
+    SCOPED_TRACE(spec_text);
+    CensusEngine engine(spec.protocol, 40, 5);
+    faults::FaultSession session(faults::parse_fault_plan(spec_text), 5);
+    const ConvergenceReport report = faults::run_until_stable_with_faults(engine, session);
+    EXPECT_TRUE(report.stabilized);
+    EXPECT_FALSE(engine.fallback_active());
+    EXPECT_GT(report.faults_injected, 0u);
+    EXPECT_EQ(engine.stats().full_rebuilds, 1 + report.faults_injected);
+    EXPECT_GT(engine.stats().effective_samples, 0u);
+    const std::string resumed_view = engine.debug_table_snapshot();
+    EXPECT_EQ(engine.stats().full_rebuilds, 1 + report.faults_injected);
+    engine.debug_force_full_rebuild();
+    EXPECT_EQ(resumed_view, engine.debug_table_snapshot());
+  }
 }
 
 // --- sparse edge storage ---------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include "analysis/distribution.hpp"
 #include "campaign/registry.hpp"
+#include "faults/fault_session.hpp"
 #include "sched/schedulers.hpp"
 
 #include <gtest/gtest.h>
@@ -263,25 +264,32 @@ TEST(CensusEngine, ModellessSchedulerFallsBackToExactNaiveSemantics) {
   }
 }
 
-class CountingInterceptor final : public StepInterceptor {
- public:
-  void before_step(Engine&) override { ++calls; }
-  int calls = 0;
-};
+TEST(CensusEngine, ScheduledBurstFiresAtTheSameStepOnBothEngines) {
+  // A burst "at step 1000" fires before the 1000th interaction, at clock
+  // reading 999, on either engine; the census engine keeps sampling.
+  const faults::FaultPlan plan = faults::parse_fault_plan("edge-burst:f=1:at=1000");
+  Simulator naive(star_protocol(), 10, 13);
+  CensusEngine census(star_protocol(), 10, 13);
+  for (Engine* engine : {static_cast<Engine*>(&naive), static_cast<Engine*>(&census)}) {
+    faults::FaultSession session(plan, 13);
+    const ConvergenceReport report = faults::run_until_stable_with_faults(*engine, session);
+    EXPECT_TRUE(report.stabilized) << engine->engine_name();
+    EXPECT_EQ(report.faults_injected, 1u) << engine->engine_name();
+    EXPECT_EQ(report.last_fault_step, 999u) << engine->engine_name();
+  }
+  EXPECT_FALSE(census.fallback_active());
+  EXPECT_GT(census.stats().effective_samples, 0u);
 
-TEST(CensusEngine, InterceptorForcesPerStepExecutionUntilCleared) {
-  CensusEngine engine(star_protocol(), 10, 13);
-  CountingInterceptor interceptor;
-  engine.set_interceptor(&interceptor);
-  EXPECT_TRUE(engine.fallback_active());
-  engine.run(100);
-  EXPECT_EQ(interceptor.calls, 100);  // hooks observe every step, none skipped
-  EXPECT_EQ(engine.steps(), 100u);
-  engine.set_interceptor(nullptr);
-  EXPECT_FALSE(engine.fallback_active());
-  // Census sampling resumes (and still stabilizes correctly).
-  const ConvergenceReport report = engine.run_until_stable();
-  EXPECT_TRUE(report.stabilized);
+  // Process trials run the same driver: the burst fires at 999 there too.
+  CensusEngine process(star_protocol(), 10, 13);
+  faults::FaultSession session(plan, 13);
+  Engine::StabilityOptions options;
+  options.max_steps = 5000;
+  const ConvergenceReport report = faults::run_until_stable_with_faults(
+      process, session, options, [](const World&) { return false; });
+  EXPECT_FALSE(report.stabilized);
+  EXPECT_EQ(report.steps_executed, 5000u);
+  EXPECT_EQ(report.last_fault_step, 999u);
 }
 
 TEST(CensusEngine, ExternalWorldMutationInvalidatesTheTables) {

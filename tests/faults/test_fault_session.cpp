@@ -1,9 +1,13 @@
 #include "faults/fault_session.hpp"
 
+#include "core/census_engine.hpp"
 #include "graph/predicates.hpp"
 #include "protocols/protocols.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <memory>
 
 namespace netcons::faults {
 namespace {
@@ -248,6 +252,83 @@ TEST(FaultSession, TargetedSelectionIsDeterministicPerSeed) {
     }
   }
   EXPECT_EQ(dead_a, dead_b);
+}
+
+/// One state whose only rule restores a missing edge: started from the
+/// complete graph, the configuration always has edges to delete.
+Protocol edge_keeper() {
+  ProtocolBuilder b("edge-keeper");
+  const StateId q = b.add_state("q");
+  b.set_initial(q);
+  b.add_rule(q, q, false, q, q, true);
+  return b.build();
+}
+
+/// Faults fired by an edge-rate window [at, at + window) with rate p on a
+/// complete graph of n nodes, per trial, on the named engine.
+std::vector<ConvergenceReport> rate_trials(const char* engine, double p, std::uint64_t at,
+                                           std::uint64_t window, int n, int trials) {
+  FaultEvent event;
+  event.kind = FaultKind::EdgeRate;
+  event.rate = p;
+  event.at = at;
+  event.window = window;
+  FaultPlan plan;
+  plan.events = {event};
+  std::vector<ConvergenceReport> out;
+  for (int trial = 0; trial < trials; ++trial) {
+    const std::uint64_t seed = trial_seed(0x7a7e, static_cast<std::uint64_t>(trial));
+    std::unique_ptr<Engine> sim;
+    if (std::string(engine) == "census") {
+      sim = std::make_unique<CensusEngine>(edge_keeper(), n, seed);
+    } else {
+      sim = std::make_unique<Simulator>(edge_keeper(), n, seed);
+    }
+    for (int v = 1; v < n; ++v) {
+      for (int u = 0; u < v; ++u) sim->mutable_world().set_edge(u, v, true);
+    }
+    FaultSession session(plan, seed);
+    out.push_back(run_until_stable_with_faults(*sim, session));
+  }
+  return out;
+}
+
+TEST(FaultSession, RateDeletionsFollowTheWindowLawOnBothEngines) {
+  // Deletions at Geometric(p) gaps have the law of a per-step Bernoulli(p)
+  // coin: over a window of W steps their count is Binomial(W, p). The
+  // complete graph on 40 nodes has 780 edges, far more than a window
+  // deletes, so every deletion finds an edge.
+  constexpr double kP = 0.05;
+  constexpr std::uint64_t kAt = 300;
+  constexpr std::uint64_t kWindow = 1000;
+  constexpr int kTrials = 200;
+  for (const char* engine : {"naive", "census"}) {
+    SCOPED_TRACE(engine);
+    double sum = 0.0;
+    for (const ConvergenceReport& report : rate_trials(engine, kP, kAt, kWindow, 40, kTrials)) {
+      ASSERT_TRUE(report.stabilized);
+      ASSERT_GT(report.faults_injected, 0u);
+      EXPECT_GE(report.last_fault_step, kAt - 1);
+      EXPECT_LE(report.last_fault_step, kAt + kWindow - 2);  // nothing after at + W - 1
+      sum += static_cast<double>(report.faults_injected);
+    }
+    const double mean = sum / kTrials;
+    const double sigma = std::sqrt(kWindow * kP * (1.0 - kP) / kTrials);
+    EXPECT_NEAR(mean, kWindow * kP, 4.0 * sigma);
+  }
+}
+
+TEST(FaultSession, RateOneDeletesOnEveryStepOfTheWindow) {
+  // p = 1 (outside the grammar, whose p is < 1) makes every gap 0.
+  for (const char* engine : {"naive", "census"}) {
+    SCOPED_TRACE(engine);
+    for (const ConvergenceReport& report : rate_trials(engine, 1.0, 40, 200, 32, 3)) {
+      ASSERT_TRUE(report.stabilized);
+      EXPECT_EQ(report.faults_injected, 200u);
+      EXPECT_EQ(report.last_fault_step, 40u + 200u - 2u);
+      EXPECT_EQ(report.output_edges_deleted, 200u);
+    }
+  }
 }
 
 TEST(OutputEdgeCount, CountsAliveOutputPairsOnly) {
