@@ -9,13 +9,13 @@
 //     unique-leader copying phase.
 //  4. kRC state growth: 2(k+1) states buys degree-k connectivity.
 #include "bench_help.hpp"
-#include "analysis/experiment.hpp"
+#include "campaign/campaign.hpp"
+#include "campaign/registry.hpp"
 #include "protocols/protocols.hpp"
-#include "sched/schedulers.hpp"
 #include "util/table.hpp"
 
 #include <iostream>
-#include <memory>
+#include <utility>
 
 constexpr const char* kUsage =
     "usage: bench_ablations\n"
@@ -33,13 +33,13 @@ int main(int argc, char** argv) {
     for (int d : {1, 2, 3, 4, 5}) {
       const auto spec = protocols::degree_doubling(d);
       const int n = (1 << d) + 6;
-      const auto r = analysis::run_trial(spec, n, 0xAB1Aull);
+      const auto r = campaign::run_protocol_trial(spec, n, 0xAB1Aull);
       table.add_row({TextTable::integer(static_cast<std::uint64_t>(d)),
                      TextTable::integer(static_cast<std::uint64_t>(spec.protocol.state_count())),
                      TextTable::integer(std::uint64_t{1} << d),
                      TextTable::integer(static_cast<std::uint64_t>(n)),
-                     TextTable::integer(r.convergence_step),
-                     r.stabilized && r.target_ok ? "yes" : "NO"});
+                     TextTable::integer(r.value),
+                     r.success ? "yes" : "NO"});
     }
     std::cout << table << "states grow linearly in d while the degree doubles: the maximum\n"
               << "degree of the target is not a lower bound on protocol size (Section 7).\n\n";
@@ -48,31 +48,20 @@ int main(int argc, char** argv) {
   std::cout << "=== Ablation 2: scheduler sensitivity (Global-Star, n = 24) ===\n";
   {
     TextTable table({"scheduler", "mean steps (10 seeds)", "all stabilized to star"});
-    for (int which = 0; which < 3; ++which) {
-      const auto spec = protocols::global_star();
+    const ProtocolSpec spec = protocols::global_star();
+    for (const auto& [scheduler, label] : {std::pair{"uniform", "uniform random"},
+                                           std::pair{"permutation", "random permutation rounds"},
+                                           std::pair{"stale-biased", "stale-biased 0.5"}}) {
+      const campaign::SchedulerFactory make = campaign::make_scheduler(scheduler)->make;
       RunningStats stats;
       bool all_ok = true;
       for (int seed = 0; seed < 10; ++seed) {
-        std::unique_ptr<Scheduler> sched;
-        std::string name;
-        if (which == 0) {
-          sched = std::make_unique<UniformRandomScheduler>();
-        } else if (which == 1) {
-          sched = std::make_unique<RandomPermutationScheduler>();
-        } else {
-          sched = std::make_unique<StaleBiasedScheduler>(0.5);
-        }
-        Simulator sim(spec.protocol, 24, trial_seed(0xAB2Bull, static_cast<std::uint64_t>(seed)),
-                      std::move(sched));
-        Simulator::StabilityOptions options;
-        options.max_steps = spec.max_steps(24);
-        const auto report = sim.run_until_stable(options);
-        all_ok = all_ok && report.stabilized &&
-                 spec.target(sim.world().output_graph(spec.protocol));
-        stats.add(static_cast<double>(report.convergence_step));
+        const auto r = campaign::run_protocol_trial(
+            spec, 24, trial_seed(0xAB2Bull, static_cast<std::uint64_t>(seed)), make);
+        all_ok = all_ok && r.success;
+        stats.add(static_cast<double>(r.value));
       }
-      const char* names[] = {"uniform random", "random permutation rounds", "stale-biased 0.5"};
-      table.add_row({names[which], TextTable::num(stats.mean()), all_ok ? "yes" : "NO"});
+      table.add_row({label, TextTable::num(stats.mean()), all_ok ? "yes" : "NO"});
     }
     std::cout << table << "correctness only needs fairness (the proofs' assumption); the\n"
               << "uniform scheduler is merely the timing model.\n\n";
@@ -87,10 +76,10 @@ int main(int argc, char** argv) {
       RunningStats stats;
       bool all_ok = true;
       for (int seed = 0; seed < 4; ++seed) {
-        const auto r =
-            analysis::run_trial(spec, n, trial_seed(0xAB3Cull, static_cast<std::uint64_t>(seed)));
-        all_ok = all_ok && r.stabilized && r.target_ok;
-        stats.add(static_cast<double>(r.convergence_step));
+        const auto r = campaign::run_protocol_trial(
+            spec, n, trial_seed(0xAB3Cull, static_cast<std::uint64_t>(seed)));
+        all_ok = all_ok && r.success;
+        stats.add(static_cast<double>(r.value));
       }
       table.add_row({TextTable::integer(static_cast<std::uint64_t>(v1)),
                      TextTable::integer(static_cast<std::uint64_t>(n)),
@@ -105,12 +94,12 @@ int main(int argc, char** argv) {
     for (int k : {2, 3, 4}) {
       const auto spec = protocols::krc(k);
       const int n = 4 * k;
-      const auto r = analysis::run_trial(spec, n, 0xAB4Dull);
+      const auto r = campaign::run_protocol_trial(spec, n, 0xAB4Dull);
       table.add_row({TextTable::integer(static_cast<std::uint64_t>(k)),
                      TextTable::integer(static_cast<std::uint64_t>(spec.protocol.state_count())),
                      TextTable::integer(static_cast<std::uint64_t>(n)),
-                     TextTable::integer(r.convergence_step),
-                     r.stabilized && r.target_ok ? "yes" : "NO"});
+                     TextTable::integer(r.value),
+                     r.success ? "yes" : "NO"});
     }
     std::cout << table;
   }

@@ -377,10 +377,10 @@ int main(int argc, char** argv) {
     double total_convergence = 0.0;
     const auto start = std::chrono::steady_clock::now();
     for (int t = 0; t < trials; ++t) {
-      const campaign::ProtocolTrialReport report = campaign::run_protocol_trial_report(
+      const campaign::TrialOutcome outcome = campaign::run_protocol_trial(
           spec, n, trial_seed(seed, static_cast<std::uint64_t>(t)), {}, {}, engine.make);
-      if (!report.stabilized || !report.target_ok) ++run.failures;
-      total_convergence += static_cast<double>(report.convergence_step);
+      if (!outcome.success) ++run.failures;
+      total_convergence += static_cast<double>(outcome.value);
     }
     run.wall_seconds = seconds_since(start);
     run.mean_convergence = trials > 0 ? total_convergence / trials : 0.0;

@@ -10,7 +10,6 @@
 //  * Figures 7-8 ((U, D, M) partition): the Theorem 15 substrate.
 //  * Theorem 16: the logarithmic-waste constructor.
 #include "bench_help.hpp"
-#include "analysis/experiment.hpp"
 #include "generic/linear_waste.hpp"
 #include "generic/log_waste.hpp"
 #include "generic/no_waste.hpp"

@@ -8,7 +8,8 @@
 // the crossover, and address the paper's Section 7 open question with data:
 // does follower-dissolution beat the O(n^3) protocol?
 #include "bench_help.hpp"
-#include "analysis/experiment.hpp"
+#include "analysis/report.hpp"
+#include "campaign/campaign.hpp"
 #include "protocols/protocols.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
   struct Entry {
     ProtocolSpec spec;
     std::vector<int> ns;
-    std::vector<analysis::MeasurePoint> points;
+    std::vector<campaign::PointResult> points;
   };
   std::vector<Entry> entries;
   entries.push_back({protocols::simple_global_line(), {8, 12, 16, 24, 32, 48}, {}});
@@ -50,7 +51,11 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Section 4: spanning line constructors (" << trials << " trials/point) ===\n\n";
   for (auto& entry : entries) {
-    entry.points = analysis::sweep(entry.spec, entry.ns, trials, 0x61D1ull);
+    entry.points = campaign::run({.units = {campaign::Unit::protocol("entry", entry.spec)},
+                                  .ns = entry.ns,
+                                  .trials = trials,
+                                  .base_seed = 0x61D1ull})
+                       .points;
     TextTable table({"n", "mean steps", "ci95", "mean/n^3", "mean/n^4"});
     for (const auto& p : entry.points) {
       const double n3 = std::pow(static_cast<double>(p.n), 3.0);

@@ -11,7 +11,7 @@
 // empirical signature of the Omega; a bounded-above ratio for matching
 // protocols shows tightness.
 #include "bench_help.hpp"
-#include "analysis/experiment.hpp"
+#include "campaign/campaign.hpp"
 #include "protocols/protocols.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -62,7 +62,11 @@ int main(int argc, char** argv) {
             << "(" << trials << " trials per point)\n\n";
   for (const auto& row : rows) {
     TextTable table({"n", "mean steps", "bound term", "ratio"});
-    const auto points = analysis::sweep(row.spec, row.ns, trials, 0x10B5ull);
+    const auto points = campaign::run({.units = {campaign::Unit::protocol("row", row.spec)},
+                                       .ns = row.ns,
+                                       .trials = trials,
+                                       .base_seed = 0x10B5ull})
+                            .points;
     for (const auto& p : points) {
       const double term = row.bound(static_cast<std::uint64_t>(p.n));
       table.add_row({TextTable::integer(static_cast<std::uint64_t>(p.n)),

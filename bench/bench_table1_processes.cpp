@@ -6,7 +6,8 @@
 // expectation (exact where the proposition pins it down), and fit the
 // power-law exponent to confirm the Theta-shape.
 #include "bench_help.hpp"
-#include "analysis/experiment.hpp"
+#include "analysis/report.hpp"
+#include "campaign/campaign.hpp"
 #include "processes/processes.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -44,7 +45,11 @@ int main(int argc, char** argv) {
 
   for (const auto& spec : all_processes()) {
     TextTable table({"n", "mean steps", "ci95", "theory", "mean/theory"});
-    const auto points = analysis::sweep_process(spec, ns, trials, 0x71B1ull);
+    const auto points = campaign::run({.units = {campaign::Unit::process(spec)},
+                                       .ns = ns,
+                                       .trials = trials,
+                                       .base_seed = 0x71B1ull})
+                            .points;
     double ratio_at_64 = 0;
     for (const auto& p : points) {
       if (p.failures > 0) {

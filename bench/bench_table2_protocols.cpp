@@ -4,7 +4,8 @@
 // stay tractable; the *shape* columns (fitted exponent, mean normalized by
 // the proven bound) are what the paper's Theta/O/Omega entries predict.
 #include "bench_help.hpp"
-#include "analysis/experiment.hpp"
+#include "analysis/report.hpp"
+#include "campaign/campaign.hpp"
 #include "protocols/protocols.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -66,7 +67,11 @@ int main(int argc, char** argv) {
       {"protocol", "states", "paper expected time", "paper LB", "fitted exponent", "failures"});
 
   for (const auto& row : rows) {
-    const auto points = analysis::sweep(row.spec, row.ns, row.trials, 0x7AB2ull);
+    const auto points = campaign::run({.units = {campaign::Unit::protocol("row", row.spec)},
+                                       .ns = row.ns,
+                                       .trials = row.trials,
+                                       .base_seed = 0x7AB2ull})
+                            .points;
     TextTable table({"n", "mean steps", "ci95", "min", "max"});
     int failures = 0;
     for (const auto& p : points) {

@@ -15,7 +15,7 @@
 // Each stage reports its convergence time in interactions, illustrating the
 // cost ordering the paper proves: stars (~n^2 log n) < lines (n^3..n^5)
 // under the same contact dynamics.
-#include "analysis/experiment.hpp"
+#include "campaign/campaign.hpp"
 #include "graph/predicates.hpp"
 #include "protocols/protocols.hpp"
 #include "util/table.hpp"
@@ -34,27 +34,27 @@ int main(int argc, char** argv) {
 
   {
     const auto spec = protocols::global_star();
-    const auto r = analysis::run_trial(spec, n, seed);
+    const auto r = campaign::run_protocol_trial(spec, n, seed);
     table.add_row({"aggregation hub", spec.protocol.name(),
                    TextTable::integer(static_cast<std::uint64_t>(spec.protocol.state_count())),
-                   TextTable::integer(r.convergence_step),
-                   r.stabilized && r.target_ok ? "spanning star" : "FAILED"});
+                   TextTable::integer(r.value),
+                   r.success ? "spanning star" : "FAILED"});
   }
   {
     const auto spec = protocols::fast_global_line();
-    const auto r = analysis::run_trial(spec, n, seed + 1);
+    const auto r = campaign::run_protocol_trial(spec, n, seed + 1);
     table.add_row({"compute backbone", spec.protocol.name(),
                    TextTable::integer(static_cast<std::uint64_t>(spec.protocol.state_count())),
-                   TextTable::integer(r.convergence_step),
-                   r.stabilized && r.target_ok ? "spanning line" : "FAILED"});
+                   TextTable::integer(r.value),
+                   r.success ? "spanning line" : "FAILED"});
   }
   {
     const auto spec = protocols::c_cliques(3);
-    const auto r = analysis::run_trial(spec, n, seed + 2);
+    const auto r = campaign::run_protocol_trial(spec, n, seed + 2);
     table.add_row({"treatment cells", spec.protocol.name(),
                    TextTable::integer(static_cast<std::uint64_t>(spec.protocol.state_count())),
-                   TextTable::integer(r.convergence_step),
-                   r.stabilized && r.target_ok ? "clique partition" : "FAILED"});
+                   TextTable::integer(r.value),
+                   r.success ? "clique partition" : "FAILED"});
   }
 
   std::cout << table

@@ -3,7 +3,6 @@
 // fresh nodes, then re-run the copy as the next stage's input -- the
 // paper's vision of structures that reproduce themselves through local
 // interactions alone.
-#include "analysis/experiment.hpp"
 #include "core/census_engine.hpp"
 #include "graph/isomorphism.hpp"
 #include "graph/random_graphs.hpp"

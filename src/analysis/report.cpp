@@ -264,4 +264,34 @@ std::string ecdf_csv(const campaign::CampaignHeader& header,
   return out;
 }
 
+std::vector<ComparePair> compare_pairs(const std::vector<campaign::GridPoint>& a,
+                                       const std::vector<campaign::GridPoint>& b) {
+  const auto same_cell = [](const campaign::GridPoint& x, const campaign::GridPoint& y) {
+    return x.unit == y.unit && x.scheduler == y.scheduler && x.n == y.n;
+  };
+  std::vector<ComparePair> pairs;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const bool plan_in_b = std::any_of(b.begin(), b.end(), [&](const campaign::GridPoint& y) {
+      return same_cell(a[i], y) && a[i].faults == y.faults;
+    });
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      if (same_cell(a[i], b[j]) && (!plan_in_b || a[i].faults == b[j].faults)) {
+        pairs.push_back({i, j});
+      }
+    }
+  }
+  return pairs;
+}
+
+LinearFit fit_exponent(const std::vector<campaign::PointResult>& points) {
+  std::vector<double> xs;
+  std::vector<double> ys;
+  for (const campaign::PointResult& p : points) {
+    if (p.convergence_steps.count() == 0) continue;
+    xs.push_back(static_cast<double>(p.n));
+    ys.push_back(p.convergence_steps.mean());
+  }
+  return fit_power_law(xs, ys);
+}
+
 }  // namespace netcons::analysis

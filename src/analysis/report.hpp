@@ -1,5 +1,6 @@
 // Shared rendering of the netcons-report-v1 document and its CSV
-// companions over per-point distribution builders.
+// companions over per-point distribution builders, the grid-point pairing
+// of `netcons_report --compare`, and the exponent fit over campaign points.
 //
 // This is the one implementation behind every surface that emits a report:
 // the netcons_report CLI and the serve-layer result cache both call these
@@ -11,7 +12,9 @@
 #pragma once
 
 #include "analysis/distribution.hpp"
+#include "campaign/campaign.hpp"
 #include "campaign/trial_record.hpp"
+#include "util/stats.hpp"
 
 #include <string>
 #include <vector>
@@ -80,5 +83,24 @@ struct TrendRow {
 [[nodiscard]] std::string trend_json(const campaign::CampaignHeader& header,
                                      const std::vector<PointDistributions>& dists,
                                      const ReportSpec& spec);
+
+/// One matched pair of grid points: indices into record sets A and B.
+struct ComparePair {
+  std::size_t a = 0;
+  std::size_t b = 0;
+};
+
+/// The pairs `netcons_report --compare A B` compares, A-major with B in
+/// grid order. An A point pairs with the B points of the same unit,
+/// scheduler, n and fault plan; when B holds none with that plan, it pairs
+/// with every B point of the same unit, scheduler and n instead (one
+/// fault-free baseline against every plan). Record sets that each hold
+/// several plans are thus compared plan by plan, never plan against plan.
+[[nodiscard]] std::vector<ComparePair> compare_pairs(const std::vector<campaign::GridPoint>& a,
+                                                     const std::vector<campaign::GridPoint>& b);
+
+/// Fit mean convergence steps ~ C * n^alpha over a campaign's points;
+/// points with no successful trial are skipped.
+[[nodiscard]] LinearFit fit_exponent(const std::vector<campaign::PointResult>& points);
 
 }  // namespace netcons::analysis

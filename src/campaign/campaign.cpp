@@ -7,7 +7,6 @@
 #include "telemetry/telemetry.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
 #include <new>
@@ -133,52 +132,31 @@ std::unique_ptr<Engine> instantiate_engine(const EngineFactory& make_engine,
   return std::make_unique<Simulator>(protocol, n, seed, std::move(scheduler));
 }
 
-ProtocolTrialReport run_protocol_trial_report(const ProtocolSpec& spec, int n,
-                                              std::uint64_t seed,
-                                              const SchedulerFactory& make_scheduler,
-                                              const faults::FaultPlan& fault_plan,
-                                              const EngineFactory& make_engine) {
-  const std::unique_ptr<Engine> engine =
-      instantiate_engine(make_engine, spec.protocol, n, seed, make_scheduler);
-  Engine& sim = *engine;
-  if (spec.initialize) spec.initialize(sim.mutable_world());
-
-  Engine::StabilityOptions options;
-  if (spec.max_steps) options.max_steps = spec.max_steps(n);
-  options.certificate = spec.certificate;
-
-  faults::FaultSession session(fault_plan, seed);
-  const ConvergenceReport report =
-      faults::run_until_stable_with_faults(sim, session, options);
-
-  ProtocolTrialReport out;
-  out.stabilized = report.stabilized;
-  out.convergence_step = report.convergence_step;
-  out.steps_executed = report.steps_executed;
-  out.faults_injected = report.faults_injected;
-  out.recovery_steps = report.recovery_steps;
-  out.output_edges_deleted = report.output_edges_deleted;
-  out.output_edges_repaired = report.output_edges_repaired;
-  out.output_edges_residual = report.output_edges_residual;
-  if (report.stabilized && spec.target) {
-    out.target_ok = spec.target(sim.world().output_graph(spec.protocol));
-  } else {
-    out.target_ok = report.stabilized;
-  }
-  if (telemetry::Registry* reg = telemetry::registry()) sim.publish_metrics(*reg);
-  return out;
-}
-
 TrialOutcome run_protocol_trial(const ProtocolSpec& spec, int n, std::uint64_t seed,
                                 const SchedulerFactory& make_scheduler,
                                 const faults::FaultPlan& fault_plan,
                                 const EngineFactory& make_engine) {
   return guarded_trial([&](TrialOutcome& outcome) {
-    const ProtocolTrialReport report =
-        run_protocol_trial_report(spec, n, seed, make_scheduler, fault_plan, make_engine);
+    const std::unique_ptr<Engine> engine =
+        instantiate_engine(make_engine, spec.protocol, n, seed, make_scheduler);
+    Engine& sim = *engine;
+    if (spec.initialize) spec.initialize(sim.mutable_world());
+
+    Engine::StabilityOptions options;
+    if (spec.max_steps) options.max_steps = spec.max_steps(n);
+    options.certificate = spec.certificate;
+
+    faults::FaultSession session(fault_plan, seed);
+    const ConvergenceReport report =
+        faults::run_until_stable_with_faults(sim, session, options);
+
+    const bool target_ok = report.stabilized && spec.target
+                               ? spec.target(sim.world().output_graph(spec.protocol))
+                               : report.stabilized;
+    if (telemetry::Registry* reg = telemetry::registry()) sim.publish_metrics(*reg);
     outcome.value = report.convergence_step;
     outcome.steps_executed = report.steps_executed;
-    outcome.target_ok = report.target_ok;
+    outcome.target_ok = target_ok;
     outcome.faults_injected = report.faults_injected;
     outcome.recovery_steps = report.recovery_steps;
     outcome.edges_deleted = report.output_edges_deleted;
@@ -186,8 +164,7 @@ TrialOutcome run_protocol_trial(const ProtocolSpec& spec, int n, std::uint64_t s
     outcome.edges_residual = report.output_edges_residual;
     // Under faults the trial succeeds by re-stabilizing; a missed target is
     // residual damage (aggregated as `damaged`), not a failed trial.
-    outcome.success = fault_plan.empty() ? report.stabilized && report.target_ok
-                                         : report.stabilized;
+    outcome.success = fault_plan.empty() ? report.stabilized && target_ok : report.stabilized;
   });
 }
 
@@ -339,8 +316,6 @@ CampaignResult run(const CampaignSpec& spec, const RunOptions& options) {
     tasks.resize(static_cast<std::size_t>(options.trial_cap));
   }
 
-  std::atomic<std::uint64_t> completed{0};
-
   if (options.monitor) {
     options.monitor->begin(static_cast<std::uint64_t>(tasks.size()), threads);
   }
@@ -361,10 +336,6 @@ CampaignResult run(const CampaignSpec& spec, const RunOptions& options) {
     if (options.monitor) {
       options.monitor->record_job(
           1, std::chrono::duration<double>(std::chrono::steady_clock::now() - job_start).count());
-    }
-    if (options.progress) {
-      options.progress(completed.fetch_add(1, std::memory_order_relaxed) + 1,
-                       static_cast<std::uint64_t>(tasks.size()));
     }
   });
 

@@ -88,18 +88,20 @@ struct Unit {
   }
 };
 
+/// Build one with designated initializers; every axis has a `{}` default so
+/// a caller may skip it, e.g. `{.units = {...}, .ns = {n}, .trials = 10}`.
 struct CampaignSpec {
   std::vector<Unit> units;
   std::vector<int> ns;
   int trials = 1;
   /// Empty: one implicit {"uniform", null} option.
-  std::vector<SchedulerOption> schedulers;
+  std::vector<SchedulerOption> schedulers{};
   /// Fault-plan axis (see faults/fault_plan.hpp). Empty: one implicit
   /// "none" plan, i.e. the classic fault-free campaign.
-  std::vector<faults::FaultPlan> faults;
+  std::vector<faults::FaultPlan> faults{};
   /// Execution-engine axis (core/engine.hpp). Empty: one implicit
   /// {"naive", null} option -- the reference per-step engine.
-  std::vector<EngineOption> engines;
+  std::vector<EngineOption> engines{};
   std::uint64_t base_seed = 1;
 };
 
@@ -210,11 +212,6 @@ struct RunOptions {
   /// This is how a fabric worker executes a lease: one run() per leased
   /// trial range, selecting exactly those slots.
   std::function<bool(std::size_t point, int trial)> select;
-  /// Optional progress callback, invoked from worker threads after each
-  /// executed trial with (executed_trials, trials_scheduled_this_run) —
-  /// resumed and out-of-shard trials are not scheduled, so the total
-  /// reflects this invocation's actual work. Must be thread-safe.
-  std::function<void(std::uint64_t, std::uint64_t)> progress;
   /// Optional per-trial observer, invoked from worker threads immediately
   /// after each *executed* trial (never for resumed slots) with the trial's
   /// grid position, derived seed, and outcome. Must be thread-safe; this is
@@ -260,33 +257,13 @@ struct CampaignResult {
 /// not masquerade as protocol non-convergence).
 [[nodiscard]] CampaignResult run(const CampaignSpec& spec, const RunOptions& options = {});
 
-/// Full report of one protocol trial: simulate to certified stability under
-/// the given scheduler and fault plan (empty plan: fault-free), then
-/// validate the output graph. This is THE canonical trial-driving sequence
-/// — analysis::run_trial and the campaign engine both delegate here.
-/// Exceptions propagate.
-struct ProtocolTrialReport {
-  bool stabilized = false;
-  bool target_ok = false;
-  std::uint64_t convergence_step = 0;
-  std::uint64_t steps_executed = 0;
-  // Recovery metrics, copied from ConvergenceReport (zero when fault-free).
-  std::uint64_t faults_injected = 0;
-  std::uint64_t recovery_steps = 0;
-  std::uint64_t output_edges_deleted = 0;
-  std::uint64_t output_edges_repaired = 0;
-  std::uint64_t output_edges_residual = 0;
-};
-[[nodiscard]] ProtocolTrialReport run_protocol_trial_report(
-    const ProtocolSpec& spec, int n, std::uint64_t seed,
-    const SchedulerFactory& make_scheduler = {},
-    const faults::FaultPlan& fault_plan = {}, const EngineFactory& make_engine = {});
-
-/// Run one protocol trial as the engine's inner loop: the report collapsed
-/// to a TrialOutcome, with trial-level throws captured instead of raised.
-/// Fault-free: success = stabilized && target matched. Under a fault plan:
-/// success = re-stabilized after the plan ran, with target_ok recorded
-/// separately (see TrialOutcome).
+/// Run one protocol trial: simulate to certified stability under the given
+/// scheduler and fault plan (empty plan: fault-free), then validate the
+/// output graph. This is THE canonical trial-driving sequence, for single
+/// runs and campaigns alike; trial-level throws are captured in `error`
+/// instead of raised. Fault-free: success = stabilized && target matched.
+/// Under a fault plan: success = re-stabilized after the plan ran, with
+/// target_ok recorded separately (see TrialOutcome).
 [[nodiscard]] TrialOutcome run_protocol_trial(const ProtocolSpec& spec, int n,
                                               std::uint64_t seed,
                                               const SchedulerFactory& make_scheduler = {},

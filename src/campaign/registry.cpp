@@ -57,13 +57,19 @@ constexpr const char* kProximityGrammar =
     "proximity spec: proximity[:alpha=A][:r=R][:layout=L] with A > 0, "
     "0 < R <= 1, L in {uniform, clustered, grid}";
 
-/// Strict positive-double parse (the whole token must be a number).
-std::optional<double> parse_positive(const std::string& text) {
+/// Strict double parse: the whole token must be a number (an embedded NUL
+/// ends strtod's scan, so "0.5\0junk" is not one).
+std::optional<double> parse_number(const std::string& text) {
   char* end = nullptr;
   errno = 0;
   const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) return std::nullopt;
-  if (!(value > 0.0)) return std::nullopt;
+  if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE) return std::nullopt;
+  return value;
+}
+
+std::optional<double> parse_positive(const std::string& text) {
+  const std::optional<double> value = parse_number(text);
+  if (!value || !(*value > 0.0)) return std::nullopt;
   return value;
 }
 
@@ -226,16 +232,14 @@ std::optional<SchedulerOption> make_scheduler(const std::string& name, std::stri
       return std::nullopt;
     }
     const std::string bias_tok = value.substr(std::string("bias=").size());
-    char* end = nullptr;
-    errno = 0;
-    const double bias = std::strtod(bias_tok.c_str(), &end);
-    if (bias_tok.empty() || end == bias_tok.c_str() || *end != '\0' || errno == ERANGE ||
-        bias < 0.0 || bias >= 1.0) {
+    const std::optional<double> parsed = parse_number(bias_tok);
+    if (!parsed || *parsed < 0.0 || *parsed >= 1.0) {
       if (error != nullptr) {
         *error = "stale-biased: bias must be in [0, 1), got '" + bias_tok + "'";
       }
       return std::nullopt;
     }
+    const double bias = *parsed;
     return SchedulerOption{"stale-biased:bias=" + bias_tok,
                            [bias] { return std::make_unique<StaleBiasedScheduler>(bias); }};
   }
@@ -245,6 +249,13 @@ std::optional<SchedulerOption> make_scheduler(const std::string& name, std::stri
     if (!parse_proximity(name, &params, &canonical, error)) return std::nullopt;
     return SchedulerOption{canonical,
                            [params] { return std::make_unique<ProximityScheduler>(params); }};
+  }
+  if (error != nullptr) {
+    std::string known;
+    for (const std::string& option : scheduler_names()) {
+      known += (known.empty() ? "" : ", ") + option;
+    }
+    *error = "unknown scheduler '" + name + "'; registered schedulers: " + known;
   }
   return std::nullopt;
 }

@@ -40,8 +40,8 @@ struct ProtocolParams {
 [[nodiscard]] const std::vector<std::string>& scheduler_names();
 
 /// Scheduler option (name + factory) for a registered name or spec;
-/// nullopt if unknown or malformed (the parser's message lands in `error`
-/// when non-null). "uniform" yields a null factory (the simulator
+/// nullopt if unknown or malformed, with the reason in `error` when
+/// non-null. "uniform" yields a null factory (the simulator
 /// default). Proximity specs canonicalize -- every omitted parameter is
 /// filled with its default in fixed alpha, r, layout order -- so the
 /// exported `scheduler` column is stable no matter how the spec was typed.

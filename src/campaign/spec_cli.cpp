@@ -208,12 +208,7 @@ std::optional<CampaignSpec> build_spec(const SpecCli& cli) {
     std::string error;
     auto scheduler = make_scheduler(name, &error);
     if (!scheduler) {
-      if (!error.empty()) {
-        std::cerr << error << "\n";
-      } else {
-        std::cerr << "unknown scheduler '" << name
-                  << "'; registered schedulers: " << joined(scheduler_names()) << "\n";
-      }
+      std::cerr << error << "\n";
       return std::nullopt;
     }
     spec.schedulers.push_back(std::move(*scheduler));

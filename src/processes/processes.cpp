@@ -2,8 +2,6 @@
 
 #include "util/stats.hpp"
 
-#include <stdexcept>
-
 namespace netcons {
 namespace {
 
@@ -168,18 +166,6 @@ std::uint64_t process_step_budget(const ProcessSpec& spec, int n) {
   const double expected = spec.expected_steps ? spec.expected_steps(static_cast<std::uint64_t>(n))
                                               : static_cast<double>(n) * n * n;
   return static_cast<std::uint64_t>(64.0 * expected) + 100'000;
-}
-
-std::uint64_t run_process(const ProcessSpec& spec, int n, std::uint64_t seed) {
-  Simulator sim(spec.protocol, n, seed);
-  if (spec.initialize) spec.initialize(sim.mutable_world());
-  const auto budget = process_step_budget(spec, n);
-  const auto finished = sim.run_until(spec.done, budget);
-  if (!finished) {
-    throw std::runtime_error("run_process: '" + spec.name + "' did not complete on n=" +
-                             std::to_string(n) + " within " + std::to_string(budget) + " steps");
-  }
-  return *finished;
 }
 
 }  // namespace netcons

@@ -62,12 +62,7 @@ struct ProcessSpec {
 
 /// Step budget for one trial of `spec` on n nodes: 64x the expected time
 /// (or a generous cube fallback), so a timeout signals a real defect rather
-/// than unlucky scheduling. Shared by run_process and the campaign engine.
+/// than unlucky scheduling (campaign::run_process_trial's budget).
 [[nodiscard]] std::uint64_t process_step_budget(const ProcessSpec& spec, int n);
-
-/// Run the process on n nodes under the uniform random scheduler and return
-/// the completion step. Throws on timeout (budget is generous w.r.t. the
-/// proposition's bound).
-[[nodiscard]] std::uint64_t run_process(const ProcessSpec& spec, int n, std::uint64_t seed);
 
 }  // namespace netcons

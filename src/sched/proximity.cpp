@@ -20,11 +20,10 @@ ProximityWeightModel::ProximityWeightModel(const ProximityParams& params,
   // Cell side must stay >= radius so every near pair (d < r) lives in the
   // same or an adjacent cell; capping the grid at ~sqrt(n) cells per side
   // keeps the table O(n) when the radius is much finer than the density.
-  const int by_radius =
-      params_.radius >= 1.0 ? 1 : static_cast<int>(std::floor(1.0 / params_.radius));
-  const int by_population =
-      std::max(1, static_cast<int>(std::ceil(std::sqrt(static_cast<double>(std::max(n_, 1))))));
-  cells_per_side_ = std::max(1, std::min(by_radius, by_population));
+  // The min is taken in double: 1 / r overflows int for r below ~4.7e-10.
+  const double by_radius = params_.radius >= 1.0 ? 1.0 : std::floor(1.0 / params_.radius);
+  const double by_population = std::ceil(std::sqrt(static_cast<double>(std::max(n_, 1))));
+  cells_per_side_ = std::max(1, static_cast<int>(std::min(by_radius, by_population)));
   build_cells();
 }
 

@@ -43,6 +43,8 @@ TEST(FaultCampaign, RecoveryAggregatesArePopulatedOnlyUnderFaults) {
     } else {
       EXPECT_EQ(point.faults_injected.count(), static_cast<std::size_t>(point.trials));
       EXPECT_GT(point.faults_injected.mean(), 0.0);
+      EXPECT_EQ(point.recovery_steps.count(),
+                static_cast<std::size_t>(point.trials - point.failures));
     }
   }
 }

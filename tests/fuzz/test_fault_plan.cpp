@@ -11,7 +11,7 @@
 // plan's name again gives the same events.
 #include "faults/fault_plan.hpp"
 
-#include "util/rng.hpp"
+#include "mutator.hpp"
 
 #include <gtest/gtest.h>
 
@@ -58,54 +58,15 @@ const std::vector<std::string>& corpus() {
   return specs;
 }
 
-/// Byte-level mutator over one SplitMix64 stream, with tokens of the
-/// grammar and of numeric edge cases.
-class Mutator {
- public:
-  explicit Mutator(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t below(std::uint64_t bound) { return bound == 0 ? 0 : splitmix64(state_) % bound; }
-
-  /// One to four stacked mutations of `input`.
-  std::string mutate(std::string input) {
-    static const std::vector<std::string> tokens = {
-        ":", "+", "=", "k=", "f=", "p=", "at=", "every=", "times=", "for=", "target=",
-        "crash", "edge-burst", "edge-rate", "reset", "none", "leader", "max-degree", "random",
-        "0", "1", "-1", "0.5", "1e-4", "1e308", "1e-400", "inf", "nan", "0x10", "2147483648",
-        "9007199254740993", "18446744073709551616", " ", std::string(1, '\0')};
-    const int rounds = 1 + static_cast<int>(below(4));
-    for (int round = 0; round < rounds; ++round) {
-      const std::size_t at = below(input.size() + 1);
-      switch (below(6)) {
-        case 0:  // Flip one bit.
-          if (!input.empty()) input[at % input.size()] ^= static_cast<char>(1u << below(8));
-          break;
-        case 1:  // Delete a range.
-          input.erase(at, below(8) + 1);
-          break;
-        case 2:  // Duplicate a range.
-          input.insert(at, input.substr(at, below(16) + 1));
-          break;
-        case 3:  // Insert a grammar or numeric token.
-          input.insert(at, tokens[below(tokens.size())]);
-          break;
-        case 4: {  // Splice in part of another corpus entry.
-          const std::string& other = corpus()[below(corpus().size())];
-          const std::size_t from = below(other.size() + 1);
-          input.insert(at, other.substr(from, below(24) + 1));
-          break;
-        }
-        default:  // Truncate.
-          input.resize(at);
-          break;
-      }
-    }
-    return input;
-  }
-
- private:
-  std::uint64_t state_;
-};
+/// Grammar and numeric edge-case tokens the mutator inserts.
+const std::vector<std::string>& tokens() {
+  static const std::vector<std::string> list = {
+      ":", "+", "=", "k=", "f=", "p=", "at=", "every=", "times=", "for=", "target=",
+      "crash", "edge-burst", "edge-rate", "reset", "none", "leader", "max-degree", "random",
+      "0", "1", "-1", "0.5", "1e-4", "1e308", "1e-400", "inf", "nan", "0x10", "2147483648",
+      "9007199254740993", "18446744073709551616", " ", std::string(1, '\0')};
+  return list;
+}
 
 /// The grammar's value ranges, for a plan that parsed.
 void expect_in_range(const FaultPlan& plan) {
@@ -140,7 +101,7 @@ TEST(FuzzFaultPlan, CorpusParsesAndRoundTrips) {
 }
 
 TEST(FuzzFaultPlan, TenThousandMutationsParseOrThrowInvalidArgument) {
-  Mutator random(0x6661756c74706c61ULL);
+  fuzz::Mutator random(0x6661756c74706c61ULL, tokens(), corpus());
   int rejected = 0;
   for (int iteration = 0; iteration < 10000; ++iteration) {
     const std::string input = random.mutate(corpus()[random.below(corpus().size())]);

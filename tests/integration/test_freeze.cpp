@@ -3,7 +3,6 @@
 // output graph again (the definition of stabilization in Section 3.1).
 #include "protocols/protocols.hpp"
 
-#include "analysis/experiment.hpp"
 
 #include <gtest/gtest.h>
 

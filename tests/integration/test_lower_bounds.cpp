@@ -4,7 +4,7 @@
 // at test scale.
 #include "protocols/protocols.hpp"
 
-#include "analysis/experiment.hpp"
+#include "campaign/campaign.hpp"
 #include "util/stats.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,11 @@ TEST(LowerBounds, SpanningNetDominatesNodeCover) {
   // Theorem 1: any spanning-network constructor needs Omega(n log n).
   const auto spec = protocols::spanning_net();
   for (int n : {32, 64}) {
-    const auto point = analysis::measure(spec, n, 15, 1000 + n);
+    const auto point = campaign::run({.units = {campaign::Unit::protocol("spanning-net", spec)},
+                                      .ns = {n},
+                                      .trials = 15,
+                                      .base_seed = static_cast<std::uint64_t>(1000 + n)})
+                           .points.front();
     ASSERT_EQ(point.failures, 0);
     EXPECT_GT(point.convergence_steps.mean(),
               0.2 * theory::n_log_n(static_cast<std::uint64_t>(n)));
@@ -29,7 +33,11 @@ TEST(LowerBounds, LineProtocolsDominateNSquared) {
     const auto spec = which == 0 ? protocols::fast_global_line()
                                  : protocols::faster_global_line();
     const int n = 24;
-    const auto point = analysis::measure(spec, n, 8, 2000 + which);
+    const auto point = campaign::run({.units = {campaign::Unit::protocol("line", spec)},
+                                      .ns = {n},
+                                      .trials = 8,
+                                      .base_seed = static_cast<std::uint64_t>(2000 + which)})
+                           .points.front();
     ASSERT_EQ(point.failures, 0);
     EXPECT_GT(point.convergence_steps.mean(),
               0.2 * theory::n_squared(static_cast<std::uint64_t>(n)))
@@ -41,7 +49,11 @@ TEST(LowerBounds, StarDominatesN2LogN) {
   // Theorem 6: Omega(n^2 log n) for any spanning-star constructor.
   const auto spec = protocols::global_star();
   const int n = 24;
-  const auto point = analysis::measure(spec, n, 10, 3000);
+  const auto point = campaign::run({.units = {campaign::Unit::protocol("global-star", spec)},
+                                    .ns = {n},
+                                    .trials = 10,
+                                    .base_seed = 3000})
+                         .points.front();
   ASSERT_EQ(point.failures, 0);
   EXPECT_GT(point.convergence_steps.mean(),
             0.1 * theory::n_squared_log_n(static_cast<std::uint64_t>(n)));
@@ -52,8 +64,16 @@ TEST(LowerBounds, SimpleGlobalLineShowsSuperCubicGrowth) {
   // the mean grows much faster than n^2 (full exponent fits are in the
   // bench): quadrupling from n=8 to n=16 should multiply time by >> 4.
   const auto spec = protocols::simple_global_line();
-  const auto small = analysis::measure(spec, 8, 10, 4000);
-  const auto large = analysis::measure(spec, 16, 10, 4001);
+  const auto small = campaign::run({.units = {campaign::Unit::protocol("sgl", spec)},
+                                    .ns = {8},
+                                    .trials = 10,
+                                    .base_seed = 4000})
+                         .points.front();
+  const auto large = campaign::run({.units = {campaign::Unit::protocol("sgl", spec)},
+                                    .ns = {16},
+                                    .trials = 10,
+                                    .base_seed = 4001})
+                         .points.front();
   ASSERT_EQ(small.failures, 0);
   ASSERT_EQ(large.failures, 0);
   const double ratio = large.convergence_steps.mean() / small.convergence_steps.mean();
@@ -65,7 +85,11 @@ TEST(LowerBounds, CycleCoverIsOptimalUpToConstants) {
   // below across sizes.
   const auto spec = protocols::cycle_cover();
   for (int n : {24, 48}) {
-    const auto point = analysis::measure(spec, n, 10, 5000 + n);
+    const auto point = campaign::run({.units = {campaign::Unit::protocol("cycle-cover", spec)},
+                                      .ns = {n},
+                                      .trials = 10,
+                                      .base_seed = static_cast<std::uint64_t>(5000 + n)})
+                           .points.front();
     ASSERT_EQ(point.failures, 0);
     const double normalized =
         point.convergence_steps.mean() / theory::n_squared(static_cast<std::uint64_t>(n));

@@ -3,6 +3,7 @@
 // corresponding proposition.
 #include "processes/processes.hpp"
 
+#include "campaign/campaign.hpp"
 #include "graph/predicates.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -73,10 +74,11 @@ TEST(Processes, EdgeCoverActivatesAllPairs) {
   EXPECT_EQ(sim.world().active_edge_count(), 28);
 }
 
-TEST(Processes, RunProcessThrowsNever_SmallSizes) {
+TEST(Processes, ProcessTrialsCompleteAtSmallSizes) {
   for (const auto& spec : all_processes()) {
     for (int n : {2, 3, 4}) {
-      EXPECT_NO_THROW((void)run_process(spec, n, 99)) << spec.name << " n=" << n;
+      const campaign::TrialOutcome outcome = campaign::run_process_trial(spec, n, 99);
+      EXPECT_TRUE(outcome.success) << spec.name << " n=" << n << ": " << outcome.error;
     }
   }
 }
@@ -94,8 +96,10 @@ TEST_P(ProcessExpectation, MeanMatchesClosedForm) {
   const int trials = 120;
   RunningStats stats;
   for (int t = 0; t < trials; ++t) {
-    stats.add(static_cast<double>(
-        run_process(spec, n, trial_seed(1234, static_cast<std::uint64_t>(t)))));
+    const campaign::TrialOutcome outcome =
+        campaign::run_process_trial(spec, n, trial_seed(1234, static_cast<std::uint64_t>(t)));
+    ASSERT_TRUE(outcome.success) << spec.name << ": " << outcome.error;
+    stats.add(static_cast<double>(outcome.value));
   }
   const double expected = spec.expected_steps(n);
   const double tolerance = 6.0 * stats.sem() + 0.05 * expected;
@@ -113,10 +117,13 @@ TEST_P(ProcessMonotonicity, MeanGrowsWithPopulation) {
   const auto& spec = all[static_cast<std::size_t>(GetParam())];
   RunningStats small, large;
   for (int t = 0; t < 30; ++t) {
-    small.add(static_cast<double>(
-        run_process(spec, 8, trial_seed(55, static_cast<std::uint64_t>(t)))));
-    large.add(static_cast<double>(
-        run_process(spec, 32, trial_seed(77, static_cast<std::uint64_t>(t)))));
+    const campaign::TrialOutcome a =
+        campaign::run_process_trial(spec, 8, trial_seed(55, static_cast<std::uint64_t>(t)));
+    const campaign::TrialOutcome b =
+        campaign::run_process_trial(spec, 32, trial_seed(77, static_cast<std::uint64_t>(t)));
+    ASSERT_TRUE(a.success && b.success) << spec.name << ": " << a.error << b.error;
+    small.add(static_cast<double>(a.value));
+    large.add(static_cast<double>(b.value));
   }
   EXPECT_GT(large.mean(), small.mean()) << spec.name;
 }

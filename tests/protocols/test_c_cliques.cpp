@@ -1,6 +1,6 @@
 #include "protocols/protocols.hpp"
 
-#include "analysis/experiment.hpp"
+#include "campaign/campaign.hpp"
 #include "graph/predicates.hpp"
 
 #include <gtest/gtest.h>
@@ -21,8 +21,8 @@ TEST_P(CliqueConvergence, PartitionsIntoCliques) {
   const auto [c, n, seed] = GetParam();
   const auto spec = protocols::c_cliques(c);
   const auto result =
-      analysis::run_trial(spec, n, trial_seed(11000, static_cast<std::uint64_t>(seed)));
-  EXPECT_TRUE(result.stabilized) << "c=" << c << " n=" << n;
+      campaign::run_protocol_trial(spec, n, trial_seed(11000, static_cast<std::uint64_t>(seed)));
+  EXPECT_TRUE(result.success) << result.error << "c=" << c << " n=" << n;
   EXPECT_TRUE(result.target_ok) << "c=" << c << " n=" << n;
 }
 

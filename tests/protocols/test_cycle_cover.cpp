@@ -1,6 +1,7 @@
 #include "protocols/protocols.hpp"
 
-#include "analysis/experiment.hpp"
+#include "analysis/report.hpp"
+#include "campaign/campaign.hpp"
 #include "graph/predicates.hpp"
 
 #include <gtest/gtest.h>
@@ -17,9 +18,9 @@ class CycleCoverConvergence : public ::testing::TestWithParam<std::tuple<int, in
 TEST_P(CycleCoverConvergence, StabilizesToCycleCover) {
   const auto [n, seed] = GetParam();
   const auto spec = protocols::cycle_cover();
-  const auto result = analysis::run_trial(spec, n,
+  const auto result = campaign::run_protocol_trial(spec, n,
       trial_seed(2000, static_cast<std::uint64_t>(seed)));
-  EXPECT_TRUE(result.stabilized) << "n=" << n;
+  EXPECT_TRUE(result.success) << result.error << "n=" << n;
   EXPECT_TRUE(result.target_ok) << "n=" << n;
 }
 
@@ -58,7 +59,11 @@ TEST(CycleCover, WasteIsAtMostTwo) {
 TEST(CycleCover, MeanTimeIsQuadraticShape) {
   // Theta(n^2): the fitted exponent over a small sweep should be ~2.
   const auto spec = protocols::cycle_cover();
-  const auto points = analysis::sweep(spec, {16, 24, 32, 48, 64}, 10, 4242);
+  const auto points = campaign::run({.units = {campaign::Unit::protocol("cycle-cover", spec)},
+                                     .ns = {16, 24, 32, 48, 64},
+                                     .trials = 10,
+                                     .base_seed = 4242})
+                          .points;
   for (const auto& p : points) ASSERT_EQ(p.failures, 0);
   const LinearFit fit = analysis::fit_exponent(points);
   EXPECT_NEAR(fit.slope, 2.0, 0.35);

@@ -1,6 +1,6 @@
 #include "protocols/protocols.hpp"
 
-#include "analysis/experiment.hpp"
+#include "campaign/campaign.hpp"
 #include "graph/predicates.hpp"
 
 #include <gtest/gtest.h>
@@ -19,9 +19,9 @@ class RingConvergence : public ::testing::TestWithParam<std::tuple<int, int>> {}
 TEST_P(RingConvergence, StabilizesToSpanningRing) {
   const auto [n, seed] = GetParam();
   const auto spec = protocols::global_ring();
-  const auto result = analysis::run_trial(spec, n,
+  const auto result = campaign::run_protocol_trial(spec, n,
       trial_seed(5000, static_cast<std::uint64_t>(seed)));
-  EXPECT_TRUE(result.stabilized) << "n=" << n;
+  EXPECT_TRUE(result.success) << result.error << "n=" << n;
   EXPECT_TRUE(result.target_ok) << "n=" << n;
 }
 
@@ -36,8 +36,8 @@ TEST(GlobalRing, PodcBugScenarioIsHandled) {
   const auto spec = protocols::global_ring();
   for (int seed = 0; seed < 12; ++seed) {
     const auto result =
-        analysis::run_trial(spec, 4, trial_seed(6000, static_cast<std::uint64_t>(seed)));
-    EXPECT_TRUE(result.stabilized && result.target_ok) << "seed=" << seed;
+        campaign::run_protocol_trial(spec, 4, trial_seed(6000, static_cast<std::uint64_t>(seed)));
+    EXPECT_TRUE(result.success) << "seed=" << seed << ": " << result.error;
   }
 }
 

@@ -1,6 +1,7 @@
 #include "protocols/protocols.hpp"
 
-#include "analysis/experiment.hpp"
+#include "analysis/report.hpp"
+#include "campaign/campaign.hpp"
 #include "graph/predicates.hpp"
 #include "util/stats.hpp"
 
@@ -18,9 +19,9 @@ class StarConvergence : public ::testing::TestWithParam<std::tuple<int, int>> {}
 TEST_P(StarConvergence, StabilizesToSpanningStar) {
   const auto [n, seed] = GetParam();
   const auto spec = protocols::global_star();
-  const auto result = analysis::run_trial(spec, n,
+  const auto result = campaign::run_protocol_trial(spec, n,
       trial_seed(4000, static_cast<std::uint64_t>(seed)));
-  EXPECT_TRUE(result.stabilized) << "n=" << n;
+  EXPECT_TRUE(result.success) << result.error << "n=" << n;
   EXPECT_TRUE(result.target_ok) << "n=" << n;
 }
 
@@ -44,7 +45,11 @@ TEST(GlobalStar, CentersNeverIncrease) {
 
 TEST(GlobalStar, MeanTimeMatchesN2LogNShape) {
   const auto spec = protocols::global_star();
-  const auto points = analysis::sweep(spec, {12, 18, 26, 38, 52}, 8, 777);
+  const auto points = campaign::run({.units = {campaign::Unit::protocol("global-star", spec)},
+                                     .ns = {12, 18, 26, 38, 52},
+                                     .trials = 8,
+                                     .base_seed = 777})
+                          .points;
   for (const auto& p : points) ASSERT_EQ(p.failures, 0);
   // Theta(n^2 log n) fits a power law with exponent slightly above 2.
   const LinearFit fit = analysis::fit_exponent(points);
@@ -57,8 +62,13 @@ TEST(GlobalStar, LowerBoundedByMeetEverybody) {
   // measured mean must dominate a constant fraction of Theta(n^2 log n).
   const auto spec = protocols::global_star();
   const int n = 24;
-  const auto point = analysis::measure(spec, n, 10, 888);
+  const auto point = campaign::run({.units = {campaign::Unit::protocol("global-star", spec)},
+                                    .ns = {n},
+                                    .trials = 10,
+                                    .base_seed = 888})
+                         .points.front();
   ASSERT_EQ(point.failures, 0);
+  EXPECT_EQ(point.convergence_steps.count(), 10u);
   EXPECT_GT(point.convergence_steps.mean(),
             0.25 * theory::meet_everybody(static_cast<std::uint64_t>(n)));
 }

@@ -1,6 +1,6 @@
 #include "protocols/protocols.hpp"
 
-#include "analysis/experiment.hpp"
+#include "campaign/campaign.hpp"
 #include "graph/predicates.hpp"
 
 #include <gtest/gtest.h>
@@ -27,9 +27,9 @@ class TwoRcConvergence : public ::testing::TestWithParam<std::tuple<int, int>> {
 TEST_P(TwoRcConvergence, StabilizesToSpanningRing) {
   const auto [n, seed] = GetParam();
   const auto spec = protocols::two_rc();
-  const auto result = analysis::run_trial(spec, n,
+  const auto result = campaign::run_protocol_trial(spec, n,
       trial_seed(8000, static_cast<std::uint64_t>(seed)));
-  EXPECT_TRUE(result.stabilized) << "n=" << n;
+  EXPECT_TRUE(result.success) << result.error << "n=" << n;
   ASSERT_TRUE(result.target_ok) << "n=" << n;
 }
 
@@ -55,9 +55,9 @@ TEST_P(KrcConvergence, ReachesRelaxedKRegularConnected) {
   const auto [k, n, seed] = GetParam();
   if (n < k + 1) GTEST_SKIP();
   const auto spec = protocols::krc(k);
-  const auto result = analysis::run_trial(spec, n,
+  const auto result = campaign::run_protocol_trial(spec, n,
       trial_seed(9000, static_cast<std::uint64_t>(seed)));
-  EXPECT_TRUE(result.stabilized) << "k=" << k << " n=" << n;
+  EXPECT_TRUE(result.success) << result.error << "k=" << k << " n=" << n;
   EXPECT_TRUE(result.target_ok) << "k=" << k << " n=" << n;
 }
 

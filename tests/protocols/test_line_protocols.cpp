@@ -4,7 +4,7 @@
 // (a collection of lines and isolated nodes, each line with one leader).
 #include "protocols/protocols.hpp"
 
-#include "analysis/experiment.hpp"
+#include "campaign/campaign.hpp"
 #include "graph/predicates.hpp"
 
 #include <gtest/gtest.h>
@@ -37,11 +37,12 @@ class LineConvergence : public ::testing::TestWithParam<std::tuple<int, int, int
 TEST_P(LineConvergence, StabilizesToSpanningLine) {
   const auto [which, n, seed] = GetParam();
   const ProtocolSpec spec = line_spec(which);
-  const auto result = analysis::run_trial(spec, n,
+  const auto result = campaign::run_protocol_trial(spec, n,
       trial_seed(1000, static_cast<std::uint64_t>(seed)));
-  EXPECT_TRUE(result.stabilized) << spec.protocol.name() << " n=" << n;
+  EXPECT_TRUE(result.success) << result.error << spec.protocol.name() << " n=" << n;
   EXPECT_TRUE(result.target_ok) << spec.protocol.name() << " n=" << n;
-  EXPECT_GT(result.convergence_step, 0u);
+  EXPECT_GT(result.value, 0u);
+  EXPECT_GE(result.steps_executed, result.value);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, LineConvergence,
@@ -116,8 +117,17 @@ TEST(LineProtocols, FastBeatsSimpleBeyondTheCrossover) {
   // n; by n = 48 the asymptotics dominate (measured crossover ~n=40).
   const int n = 48;
   const int trials = 6;
-  const auto simple = analysis::measure(simple_global_line(), n, trials, 42);
-  const auto fast = analysis::measure(fast_global_line(), n, trials, 43);
+  const auto simple =
+      campaign::run({.units = {campaign::Unit::protocol("simple", simple_global_line())},
+                     .ns = {n},
+                     .trials = trials,
+                     .base_seed = 42})
+          .points.front();
+  const auto fast = campaign::run({.units = {campaign::Unit::protocol("fast", fast_global_line())},
+                                   .ns = {n},
+                                   .trials = trials,
+                                   .base_seed = 43})
+                        .points.front();
   ASSERT_EQ(simple.failures, 0);
   ASSERT_EQ(fast.failures, 0);
   EXPECT_LT(fast.convergence_steps.mean(), simple.convergence_steps.mean());
@@ -127,8 +137,17 @@ TEST(LineProtocols, Protocol10OutpacesBothAtModerateN) {
   // Section 7's conjecture: the follower-dissolution variant is faster; the
   // measurements support it decisively at n = 32.
   const int n = 32;
-  const auto fast = analysis::measure(fast_global_line(), n, 6, 53);
-  const auto faster = analysis::measure(faster_global_line(), n, 6, 54);
+  const auto fast = campaign::run({.units = {campaign::Unit::protocol("fast", fast_global_line())},
+                                   .ns = {n},
+                                   .trials = 6,
+                                   .base_seed = 53})
+                        .points.front();
+  const auto faster =
+      campaign::run({.units = {campaign::Unit::protocol("faster", faster_global_line())},
+                     .ns = {n},
+                     .trials = 6,
+                     .base_seed = 54})
+          .points.front();
   ASSERT_EQ(fast.failures, 0);
   ASSERT_EQ(faster.failures, 0);
   EXPECT_LT(faster.convergence_steps.mean(), fast.convergence_steps.mean());

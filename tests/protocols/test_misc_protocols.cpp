@@ -2,7 +2,8 @@
 // (U, D, M) partition (Theorem 15 substrate).
 #include "protocols/protocols.hpp"
 
-#include "analysis/experiment.hpp"
+#include "analysis/report.hpp"
+#include "campaign/campaign.hpp"
 #include "graph/predicates.hpp"
 #include "util/stats.hpp"
 
@@ -16,9 +17,9 @@ class SpanningNetConvergence : public ::testing::TestWithParam<int> {};
 TEST_P(SpanningNetConvergence, EveryNodeGetsCovered) {
   const int n = GetParam();
   const auto spec = protocols::spanning_net();
-  const auto result = analysis::run_trial(spec, n,
+  const auto result = campaign::run_protocol_trial(spec, n,
       trial_seed(15000, static_cast<std::uint64_t>(n)));
-  EXPECT_TRUE(result.stabilized);
+  EXPECT_TRUE(result.success) << result.error;
   EXPECT_TRUE(result.target_ok);
 }
 
@@ -27,7 +28,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SpanningNetConvergence, ::testing::Values(2, 3, 
 TEST(SpanningNet, TimeTracksNodeCoverShape) {
   // Theorem 1: Theta(n log n) -- the fitted exponent should be near 1.
   const auto spec = protocols::spanning_net();
-  const auto points = analysis::sweep(spec, {32, 64, 128, 256}, 20, 616);
+  const auto points = campaign::run({.units = {campaign::Unit::protocol("spanning-net", spec)},
+                                     .ns = {32, 64, 128, 256},
+                                     .trials = 20,
+                                     .base_seed = 616})
+                          .points;
   for (const auto& p : points) ASSERT_EQ(p.failures, 0);
   const LinearFit fit = analysis::fit_exponent(points);
   EXPECT_GT(fit.slope, 0.9);
@@ -41,8 +46,8 @@ TEST_P(DegreeDoubling, HubGetsExactly2ToTheD) {
   const auto spec = protocols::degree_doubling(d);
   const int n = (1 << d) + 4;  // enough a0 material plus slack
   const auto result =
-      analysis::run_trial(spec, n, trial_seed(16000, static_cast<std::uint64_t>(d)));
-  ASSERT_TRUE(result.stabilized) << "d=" << d;
+      campaign::run_protocol_trial(spec, n, trial_seed(16000, static_cast<std::uint64_t>(d)));
+  ASSERT_TRUE(result.success) << result.error << "d=" << d;
   EXPECT_TRUE(result.target_ok) << "d=" << d;
 }
 
@@ -92,8 +97,8 @@ TEST_P(PreelectedLine, LeaderBuildsASpanningLine) {
   const int n = GetParam();
   const auto spec = protocols::preelected_line();
   const auto result =
-      analysis::run_trial(spec, n, trial_seed(18000, static_cast<std::uint64_t>(n)));
-  EXPECT_TRUE(result.stabilized);
+      campaign::run_protocol_trial(spec, n, trial_seed(18000, static_cast<std::uint64_t>(n)));
+  EXPECT_TRUE(result.success) << result.error;
   EXPECT_TRUE(result.target_ok);
 }
 
@@ -102,7 +107,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PreelectedLine, ::testing::Values(2, 3, 5, 10, 2
 TEST(PreelectedLine, MatchesMeetEverybodyShape) {
   // Section 7: Theta(n^2 log n) -- the meet-everybody process paces it.
   const auto spec = protocols::preelected_line();
-  const auto points = analysis::sweep(spec, {16, 32, 64, 96}, 10, 616);
+  const auto points = campaign::run({.units = {campaign::Unit::protocol("preelected", spec)},
+                                     .ns = {16, 32, 64, 96},
+                                     .trials = 10,
+                                     .base_seed = 616})
+                          .points;
   for (const auto& p : points) ASSERT_EQ(p.failures, 0);
   const LinearFit fit = analysis::fit_exponent(points);
   EXPECT_GT(fit.slope, 1.8);
@@ -113,8 +122,18 @@ TEST(PreelectedLine, FasterThanAnyLeaderlessLineProtocol) {
   // The whole point of the paper's open question: the pre-elected-leader
   // baseline beats every leaderless construction at moderate n.
   const int n = 32;
-  const auto pre = analysis::measure(protocols::preelected_line(), n, 6, 717);
-  const auto fast = analysis::measure(protocols::fast_global_line(), n, 6, 718);
+  const auto pre =
+      campaign::run({.units = {campaign::Unit::protocol("preelected", protocols::preelected_line())},
+                     .ns = {n},
+                     .trials = 6,
+                     .base_seed = 717})
+          .points.front();
+  const auto fast =
+      campaign::run({.units = {campaign::Unit::protocol("fast", protocols::fast_global_line())},
+                     .ns = {n},
+                     .trials = 6,
+                     .base_seed = 718})
+          .points.front();
   ASSERT_EQ(pre.failures, 0);
   ASSERT_EQ(fast.failures, 0);
   EXPECT_LT(pre.convergence_steps.mean(), fast.convergence_steps.mean());

@@ -1,6 +1,6 @@
 #include "protocols/protocols.hpp"
 
-#include "analysis/experiment.hpp"
+#include "campaign/campaign.hpp"
 #include "graph/isomorphism.hpp"
 #include "graph/random_graphs.hpp"
 
@@ -41,8 +41,8 @@ TEST_P(ReplicationShapes, CopiesNamedShapes) {
   const auto spec = protocols::replication(input);
   const int n = 2 * input.order() + 1;  // one spare V2 node
   const auto result =
-      analysis::run_trial(spec, n, trial_seed(13000, static_cast<std::uint64_t>(seed)));
-  EXPECT_TRUE(result.stabilized);
+      campaign::run_protocol_trial(spec, n, trial_seed(13000, static_cast<std::uint64_t>(seed)));
+  EXPECT_TRUE(result.success) << result.error;
   EXPECT_TRUE(result.target_ok);
 }
 
@@ -55,8 +55,8 @@ TEST(Replication, CopiesRandomConnectedGraphs) {
   for (int trial = 0; trial < 3; ++trial) {
     const Graph input = sample_bounded_degree_connected(5, 3, rng);
     const auto spec = protocols::replication(input);
-    const auto result = analysis::run_trial(spec, 10, trial_seed(14000, rng.split()));
-    ASSERT_TRUE(result.stabilized) << "trial " << trial;
+    const auto result = campaign::run_protocol_trial(spec, 10, trial_seed(14000, rng.split()));
+    ASSERT_TRUE(result.success) << result.error << "trial " << trial;
     EXPECT_TRUE(result.target_ok) << "trial " << trial;
   }
 }

@@ -140,6 +140,30 @@ TEST(ProximityScheduler, ModelRebuildsWhenThePopulationChanges) {
   EXPECT_EQ(scheduler.model()->placement().size(), 32);
 }
 
+TEST(ProximityScheduler, TinyRadiusBuildsAValidModel) {
+  // 1 / r exceeds INT_MAX here; the cell grid must still come out as the
+  // population cap instead of an out-of-range integer cast.
+  const auto option = campaign::make_scheduler("proximity:r=1e-10");
+  ASSERT_TRUE(option.has_value());
+  const std::unique_ptr<Scheduler> scheduler = option->make();
+  Rng rng(5);
+  const int n = 16;
+  SchedulerWeightModel* model = scheduler->weight_model(rng, n);
+  ASSERT_NE(model, nullptr);
+  EXPECT_TRUE(std::isfinite(model->min_weight()));
+  EXPECT_TRUE(std::isfinite(model->max_weight()));
+  EXPECT_GT(model->min_weight(), 0.0);
+  EXPECT_LE(model->min_weight(), model->max_weight());
+  for (int i = 0; i < 1000; ++i) {
+    const Encounter e = model->sample(rng);
+    ASSERT_GE(e.first, 0);
+    ASSERT_LT(e.first, n);
+    ASSERT_GE(e.second, 0);
+    ASSERT_LT(e.second, n);
+    ASSERT_NE(e.first, e.second);
+  }
+}
+
 // --- spec grammar ----------------------------------------------------------
 
 TEST(SchedulerRegistry, ProximitySpecCanonicalizes) {

@@ -19,9 +19,10 @@
 // this with cmp: report-on-shards == report-on-compacted, run twice.
 //
 // --compare A B matches grid points across two record sets by
-// (unit, scheduler, n) — e.g. a faulted campaign against its fault-free
-// twin — and reports the exact two-sample Kolmogorov–Smirnov distance per
-// metric.
+// (unit, scheduler, n) and, where B holds the same fault plan, by plan too
+// (analysis::compare_pairs) — e.g. a faulted campaign against its
+// fault-free twin, or naive against census plan by plan — and reports the
+// exact two-sample Kolmogorov–Smirnov distance per metric.
 //
 // Exit status: 0 on success, 2 on usage errors, 1 on incomplete streams
 // (unless --allow-partial), header mismatches, or corrupt records.
@@ -354,26 +355,11 @@ int run_compare(const Options& opt) {
   const std::vector<analysis::PointDistributions> dists_a = a.build();
   const std::vector<analysis::PointDistributions> dists_b = b.build();
 
-  struct Pair {
-    std::size_t a = 0;
-    std::size_t b = 0;
-  };
-  // Match by (unit, scheduler, n) so a faulted campaign lines up with its
-  // fault-free twin; one A point may pair with several B points (e.g. one
-  // fault-free baseline against every fault plan).
-  std::vector<Pair> pairs;
-  for (std::size_t i = 0; i < a.header().points.size(); ++i) {
-    for (std::size_t j = 0; j < b.header().points.size(); ++j) {
-      const campaign::GridPoint& pa = a.header().points[i];
-      const campaign::GridPoint& pb = b.header().points[j];
-      if (pa.unit == pb.unit && pa.scheduler == pb.scheduler && pa.n == pb.n) {
-        pairs.push_back({i, j});
-      }
-    }
-  }
+  const std::vector<analysis::ComparePair> pairs =
+      analysis::compare_pairs(a.header().points, b.header().points);
   if (pairs.empty()) {
     std::cerr << "no grid points match between the two record sets "
-                 "(matching is by unit, scheduler, n)\n";
+                 "(matching is by unit, scheduler, n, then fault plan)\n";
     return 1;
   }
 
@@ -384,7 +370,7 @@ int run_compare(const Options& opt) {
   double worst_ks = 0.0;
   std::string worst_label;
   std::size_t compared = 0;
-  for (const Pair& pair : pairs) {
+  for (const analysis::ComparePair& pair : pairs) {
     const campaign::GridPoint& pa = a.header().points[pair.a];
     const campaign::GridPoint& pb = b.header().points[pair.b];
     for (const analysis::Metric metric : opt.metrics) {

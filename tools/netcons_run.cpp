@@ -14,7 +14,7 @@
 // --telemetry DIR writes metrics.json (engine internals: effective vs.
 // skipped steps, census rebuilds, ...) and trace.json (Perfetto-loadable)
 // into DIR after the run.
-#include "analysis/experiment.hpp"
+#include "campaign/campaign.hpp"
 #include "campaign/registry.hpp"
 #include "core/census_engine.hpp"
 #include "graph/render.hpp"
@@ -217,8 +217,13 @@ int main(int argc, char** argv) {
   };
 
   if (opt.trials > 1) {
-    const auto point =
-        analysis::measure(spec, opt.n, opt.trials, opt.seed, 0, {}, *engine_option);
+    const campaign::PointResult point =
+        campaign::run({.units = {campaign::Unit::protocol(opt.protocol, spec)},
+                       .ns = {opt.n},
+                       .trials = opt.trials,
+                       .engines = {*engine_option},
+                       .base_seed = opt.seed})
+            .points.front();
     TextTable table({"n", "trials", "failures", "mean steps", "median", "ci95", "min", "max"});
     table.add_row({TextTable::integer(static_cast<std::uint64_t>(point.n)),
                    TextTable::integer(static_cast<std::uint64_t>(point.trials)),
