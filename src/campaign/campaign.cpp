@@ -264,8 +264,6 @@ CampaignResult run(const CampaignSpec& spec, const RunOptions& options) {
   const std::vector<Point> points = expand_points(spec);
   const int trials = std::max(spec.trials, 0);
   const int threads = resolve_threads(options.threads);
-  const int shard_count = std::max(options.shard_count, 1);
-  const int shard_index = std::clamp(options.shard_index, 0, shard_count - 1);
 
   // One pre-assigned slot per trial: workers never contend on output.
   // `filled[slot]` records whether the slot holds a real outcome (resumed
@@ -291,7 +289,7 @@ CampaignResult run(const CampaignSpec& spec, const RunOptions& options) {
     }
   }
 
-  // The task list: every unfilled slot of this run's shard, largest n
+  // The task list: every unfilled slot the filter selects, largest n
   // first. A trial's cost grows polynomially in n, so the biggest trials
   // start while the rest of the list keeps every worker busy behind them;
   // in grid order they would start last and run out the clock alone. The
@@ -301,7 +299,6 @@ CampaignResult run(const CampaignSpec& spec, const RunOptions& options) {
   for (std::size_t p = 0; p < points.size(); ++p) {
     for (int t = 0; t < trials; ++t) {
       if (filled[slot_of(p, t)]) continue;
-      if (!in_shard(p, t, trials, shard_index, shard_count)) continue;
       if (options.select && !options.select(p, t)) continue;
       tasks.push_back(Task{p, t});
     }

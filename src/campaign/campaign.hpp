@@ -181,7 +181,8 @@ using OutcomeMap = std::map<std::pair<std::size_t, int>, TrialOutcome>;
 /// Shard membership of trial `trial` of point `point`: the grid is striped
 /// at trial granularity (global trial id modulo shard count), so k shards
 /// partition any grid into disjoint, load-balanced, position-deterministic
-/// slices regardless of how trials and points trade off.
+/// slices regardless of how trials and points trade off. A shard run
+/// passes it as RunOptions::select.
 [[nodiscard]] constexpr bool in_shard(std::size_t point, int trial, int trials,
                                       int shard_index, int shard_count) noexcept {
   const std::uint64_t id = static_cast<std::uint64_t>(point) *
@@ -193,10 +194,6 @@ using OutcomeMap = std::map<std::pair<std::size_t, int>, TrialOutcome>;
 
 struct RunOptions {
   int threads = 0;  ///< 0: hardware concurrency (min 1).
-  /// Grid slice to execute: shard `shard_index` of `shard_count` (see
-  /// in_shard). The default 0/1 runs the whole grid.
-  int shard_index = 0;
-  int shard_count = 1;
   /// Execute at most this many trials this run (0: unlimited): the first
   /// `trial_cap` of the largest-n-first dispatch order, so the same trials
   /// for any thread count. The run then reports complete == false; used to
@@ -207,10 +204,10 @@ struct RunOptions {
   /// ignored. Not owned; must outlive run().
   const OutcomeMap* resume = nullptr;
   /// Optional slot filter: when set, only (point, trial) slots for which it
-  /// returns true are scheduled this run (composes with shard striping and
-  /// resume skips — a filtered-out slot is simply not this run's work).
-  /// This is how a fabric worker executes a lease: one run() per leased
-  /// trial range, selecting exactly those slots.
+  /// returns true are scheduled this run (composes with resume skips — a
+  /// filtered-out slot is simply not this run's work). This is how a shard
+  /// run selects its slice (in_shard) and how a fabric worker executes a
+  /// lease: one run() per leased trial range, selecting exactly those slots.
   std::function<bool(std::size_t point, int trial)> select;
   /// Optional per-trial observer, invoked from worker threads immediately
   /// after each *executed* trial (never for resumed slots) with the trial's

@@ -6,8 +6,8 @@
 #include "sched/schedulers.hpp"
 
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <functional>
 #include <map>
 #include <memory>
@@ -57,13 +57,14 @@ constexpr const char* kProximityGrammar =
     "proximity spec: proximity[:alpha=A][:r=R][:layout=L] with A > 0, "
     "0 < R <= 1, L in {uniform, clustered, grid}";
 
-/// Strict double parse: the whole token must be a number (an embedded NUL
-/// ends strtod's scan, so "0.5\0junk" is not one).
+/// Strict double parse: the whole token must be a finite decimal number.
+/// from_chars takes no leading blanks, sign '+', hex, or embedded NUL, and
+/// `inf` / `nan` fail the finiteness check.
 std::optional<double> parse_number(const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE) return std::nullopt;
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) return std::nullopt;
   return value;
 }
 

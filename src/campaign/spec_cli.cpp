@@ -172,7 +172,11 @@ void print_registry(std::ostream& out) {
   out << faults::fault_plan_grammar() << '\n';
 }
 
-std::optional<CampaignSpec> build_spec(const SpecCli& cli) {
+std::optional<CampaignSpec> build_spec(const SpecCli& cli, std::string* error) {
+  const auto fail = [error](std::string message) -> std::optional<CampaignSpec> {
+    if (error != nullptr) *error = std::move(message);
+    return std::nullopt;
+  };
   CampaignSpec spec;
   spec.ns = cli.ns;
   spec.trials = cli.trials;
@@ -184,9 +188,8 @@ std::optional<CampaignSpec> build_spec(const SpecCli& cli) {
   for (const std::string& name : protocol_list) {
     auto protocol = make_protocol(name, cli.params);
     if (!protocol) {
-      std::cerr << "unknown protocol '" << name
-                << "'; registered protocols: " << joined(protocol_names()) << "\n";
-      return std::nullopt;
+      return fail("unknown protocol '" + name +
+                  "'; registered protocols: " + joined(protocol_names()));
     }
     spec.units.push_back(Unit::protocol(name, std::move(*protocol)));
   }
@@ -196,45 +199,35 @@ std::optional<CampaignSpec> build_spec(const SpecCli& cli) {
   for (const std::string& name : process_list) {
     auto process = make_process(name);
     if (!process) {
-      std::cerr << "unknown process '" << name
-                << "'; registered processes: " << joined(process_names()) << "\n";
-      return std::nullopt;
+      return fail("unknown process '" + name +
+                  "'; registered processes: " + joined(process_names()));
     }
     // Name the grid point by the slug the user typed (and --list prints),
     // so the exported `unit` column matches the input.
     spec.units.push_back(Unit::process(name, std::move(*process)));
   }
   for (const std::string& name : cli.schedulers) {
-    std::string error;
-    auto scheduler = make_scheduler(name, &error);
-    if (!scheduler) {
-      std::cerr << error << "\n";
-      return std::nullopt;
-    }
+    std::string message;
+    auto scheduler = make_scheduler(name, &message);
+    if (!scheduler) return fail(std::move(message));
     spec.schedulers.push_back(std::move(*scheduler));
   }
   for (const std::string& name : cli.faults) {
-    std::string error;
-    auto plan = make_fault_plan(name, &error);
-    if (!plan) {
-      std::cerr << error << "\n";
-      return std::nullopt;
-    }
+    std::string message;
+    auto plan = make_fault_plan(name, &message);
+    if (!plan) return fail(std::move(message));
     spec.faults.push_back(std::move(*plan));
   }
   for (const std::string& name : cli.engines) {
     auto engine = make_engine(name);
     if (!engine) {
-      std::cerr << "unknown engine '" << name
-                << "'; registered engines: " << joined(engine_names()) << "\n";
-      return std::nullopt;
+      return fail("unknown engine '" + name + "'; registered engines: " + joined(engine_names()));
     }
     spec.engines.push_back(std::move(*engine));
   }
 
   if (spec.units.empty() || spec.ns.empty()) {
-    std::cerr << "nothing to run: need --protocols and/or --processes, plus --ns\n";
-    return std::nullopt;
+    return fail("nothing to run: need --protocols and/or --processes, plus --ns");
   }
   return spec;
 }

@@ -61,8 +61,9 @@ void print_registry(std::ostream& out);
 
 /// Resolve names against the registries ("all" expands to every registered
 /// protocol/process) and assemble the CampaignSpec. nullopt on unknown
-/// names or an empty grid, with a diagnostic on stderr naming what IS
-/// registered.
-[[nodiscard]] std::optional<CampaignSpec> build_spec(const SpecCli& cli);
+/// names or an empty grid; the diagnostic (naming what IS registered) is
+/// stored in `*error` when given, never printed.
+[[nodiscard]] std::optional<CampaignSpec> build_spec(const SpecCli& cli,
+                                                     std::string* error = nullptr);
 
 }  // namespace netcons::campaign

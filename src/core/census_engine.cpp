@@ -1,42 +1,16 @@
 #include "core/census_engine.hpp"
 
-#include "graph/graph.hpp"
-#include "telemetry/telemetry.hpp"
-#include "util/saturating.hpp"
+#include "telemetry/metrics.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 namespace netcons {
 
 namespace {
-
-/// Report the naive fallback (a scheduler without a weight model). With an
-/// ambient telemetry registry the event is structured -- the
-/// census.fallback and census.fallback.scheduler counters count every
-/// occurrence, and a trace instant marks when it happened -- and stderr
-/// stays quiet. Without telemetry, one stderr line per process: a campaign
-/// constructs thousands of engines, and one identical note per trial would
-/// drown the console without saying anything new.
-void note_fallback() {
-  if (telemetry::Registry* reg = telemetry::registry()) {
-    reg->add("census.fallback");
-    reg->add("census.fallback.scheduler");
-    if (telemetry::Tracer* tracer = telemetry::tracer()) {
-      tracer->instant("census.fallback", "engine");
-    }
-    return;
-  }
-  static std::atomic<bool> noted{false};
-  if (noted.exchange(true)) return;
-  std::fprintf(stderr,
-               "census engine: cannot honor a non-uniform scheduler exactly; falling back "
-               "to naive per-step execution\n");
-}
 
 /// The lowest set bit of i: the span of Fenwick node i.
 constexpr std::size_t lowbit(std::size_t i) noexcept { return i & (~i + 1); }
@@ -64,8 +38,8 @@ CensusEngine::CensusEngine(Protocol protocol, int n, std::uint64_t seed,
   // The uniform random scheduler (whether installed by default or passed
   // explicitly) is the degenerate weight model: every pair weighs the same.
   // A non-uniform scheduler that can state its law as static per-pair
-  // weights exports its own model; only a scheduler without one (an exact
-  // script) gets the naive path. Querying the model here consumes exactly
+  // weights exports its own model; one without (an exact script) has no
+  // census law and is refused. Querying the model here consumes exactly
   // the engine-RNG draws the scheduler's first next() would (e.g. the
   // spatial placement), so the naive and census engines see the same
   // embedding for a given trial seed.
@@ -73,13 +47,14 @@ CensusEngine::CensusEngine(Protocol protocol, int n, std::uint64_t seed,
     weight_model_ = &uniform_model_.emplace(n);
   } else {
     weight_model_ = Simulator::mutable_scheduler()->weight_model(rng(), n);
-    if (weight_model_ == nullptr) note_fallback();
+    if (weight_model_ == nullptr) {
+      throw std::invalid_argument(
+          "census engine: the scheduler exports no weight model; run it on the naive engine");
+    }
   }
   // Model weights are static for the trial, so the listed regime's bound
   // is too: exactly 1 for uniform-law models, which therefore never list.
-  if (weight_model_ != nullptr) {
-    list_cap_ = weight_model_->max_weight() / weight_model_->min_weight();
-  }
+  list_cap_ = weight_model_->max_weight() / weight_model_->min_weight();
 }
 
 std::uint32_t CensusEngine::bucket_key(StateId a, StateId b) const noexcept {
@@ -432,7 +407,7 @@ void CensusEngine::execute_and_update(int u, int v, std::uint32_t slot) {
   synced_version_ = w.version();
 }
 
-CensusEngine::StepOutcome CensusEngine::census_step(std::uint64_t budget) {
+CensusEngine::StepOutcome CensusEngine::advance(std::uint64_t budget) {
   sync_tables();
   // m counts the effective pairs among alive nodes; the model's weights are
   // strictly positive over *all* pairs (dead ones included -- the naive
@@ -508,76 +483,12 @@ CensusEngine::StepOutcome CensusEngine::census_step(std::uint64_t budget) {
 }
 
 bool CensusEngine::step() {
-  if (fallback_active()) return naive_step();
-  const StepOutcome out = census_step(std::numeric_limits<std::uint64_t>::max());
+  const StepOutcome out = advance(std::numeric_limits<std::uint64_t>::max());
   if (out == StepOutcome::kQuiescent) {
     skip_steps(1);  // a quiescent configuration wastes the interaction
     return false;
   }
   return out == StepOutcome::kExecuted;
-}
-
-void CensusEngine::run(std::uint64_t count) {
-  if (fallback_active()) {
-    Simulator::run(count);
-    return;
-  }
-  const std::uint64_t target = saturating_add(steps(), count);
-  while (steps() < target) {
-    if (census_step(target) == StepOutcome::kQuiescent) {
-      skip_steps(target - steps());
-      return;
-    }
-  }
-}
-
-std::optional<std::uint64_t> CensusEngine::run_until(
-    const std::function<bool(const World&)>& pred, std::uint64_t max_steps) {
-  if (fallback_active()) return Simulator::run_until(pred, max_steps);
-  if (pred(world())) return steps();
-  while (steps() < max_steps) {
-    const StepOutcome out = census_step(max_steps);
-    if (out == StepOutcome::kQuiescent) {
-      // The world can no longer change, so neither can the predicate.
-      skip_steps(max_steps - steps());
-      return std::nullopt;
-    }
-    if (out == StepOutcome::kExecuted && pred(world())) return steps();
-  }
-  return std::nullopt;
-}
-
-ConvergenceReport CensusEngine::run_until_stable(const StabilityOptions& options) {
-  if (fallback_active()) return Simulator::run_until_stable(options);
-
-  const auto [check_interval, max_steps] = resolve_stability_budget(world().size(), options);
-
-  ConvergenceReport report;
-  while (true) {
-    if (options.certificate && options.certificate(protocol(), world())) {
-      report.stabilized = true;
-      report.certified = true;
-      break;
-    }
-    if (effective_pair_weight() == 0) {
-      report.stabilized = true;
-      report.quiescent = true;
-      break;
-    }
-    if (steps() >= max_steps) break;
-    // Without a certificate only quiescence (weight 0) can end the run, so
-    // there is nothing to re-check mid-flight; with one, pause on the same
-    // amortization grid the naive engine uses.
-    const std::uint64_t checkpoint =
-        options.certificate ? std::min(max_steps, saturating_add(steps(), check_interval))
-                            : max_steps;
-    while (steps() < checkpoint) {
-      if (census_step(checkpoint) == StepOutcome::kQuiescent) break;
-    }
-  }
-  report.steps_executed = steps();
-  report.convergence_step = last_output_change();
-  return report;
 }
 
 void CensusEngine::publish_metrics(telemetry::Registry& registry) {
@@ -619,7 +530,6 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
     handles.weighted_dense->add(stats_.weighted_dense_steps);
     handles.weighted_listed->add(stats_.weighted_listed_steps);
   }
-  if (fallback_active()) return;  // the tables may be stale; occupancy would lie
   // The occupancy distribution is sampled 1-in-8 publishes: q(q+1)/2
   // histogram records per trial would be the single largest telemetry cost
   // on small-n campaigns, and a campaign publishing thousands of trials
@@ -642,7 +552,7 @@ std::size_t CensusEngine::debug_draw_class() {
 }
 
 std::optional<std::pair<int, int>> CensusEngine::debug_listed_draw() {
-  if (fallback_active() || effective_pair_weight() == 0 ||
+  if (effective_pair_weight() == 0 ||
       static_cast<double>(total_weight_) >= list_cap_ || !list_effective_pairs()) {
     return std::nullopt;
   }

@@ -79,10 +79,11 @@
 // the next event with run / run_until_stable, fires it, and sampling
 // resumes exactly, since the geometric skip is memoryless.
 //
-// Exactness boundary: a non-uniform scheduler that exports *no* weight
-// model (e.g. an exact script, which must execute step-for-step) makes the
-// engine fall back, for its whole lifetime, to the inherited naive
-// per-step semantics (one stderr note, never a throw). Nothing else does.
+// The run drivers are Simulator's: this engine supplies only their
+// primitive, advance() (the sampler above), and an O(1) quiescence check.
+// A scheduler that exports *no* weight model (e.g. an exact script, which
+// must execute step-for-step) has no census law, so the constructor
+// rejects it; run it on the naive engine.
 #pragma once
 
 #include "core/simulator.hpp"
@@ -125,8 +126,8 @@ class CensusEngine final : public Simulator {
   /// The uniform random scheduler (the default, also recognized when
   /// passed explicitly) runs against an engine-owned uniform weight model;
   /// a non-uniform scheduler exporting a SchedulerWeightModel runs against
-  /// its own (see the header comment); one exporting none triggers the
-  /// naive fallback for the engine's whole lifetime.
+  /// its own (see the header comment). Throws std::invalid_argument for a
+  /// scheduler exporting none.
   CensusEngine(Protocol protocol, int n, std::uint64_t seed,
                std::unique_ptr<Scheduler> scheduler = nullptr);
   // weight_model_ may point into this object.
@@ -136,11 +137,6 @@ class CensusEngine final : public Simulator {
   [[nodiscard]] const char* engine_name() const noexcept override { return "census"; }
 
   bool step() override;
-  void run(std::uint64_t count) override;
-  [[nodiscard]] std::optional<std::uint64_t> run_until(
-      const std::function<bool(const World&)>& pred, std::uint64_t max_steps) override;
-  [[nodiscard]] ConvergenceReport run_until_stable(const StabilityOptions& options) override;
-  using Engine::run_until_stable;
 
   /// O(1) while the census tables mirror the world's version; otherwise
   /// the inherited O(n^2) scan (a const method cannot rebuild them).
@@ -149,13 +145,8 @@ class CensusEngine final : public Simulator {
     return Simulator::is_quiescent();
   }
 
-  /// Whether the engine executes per-step naive semantics instead of
-  /// census sampling (a scheduler without a weight model). Weighted census
-  /// sampling is NOT a fallback.
-  [[nodiscard]] bool fallback_active() const noexcept { return weight_model_ == nullptr; }
-
   /// The model the scheduler exported, nullptr for the uniform random
-  /// scheduler (whose model the engine owns) and on the fallback path.
+  /// scheduler (whose model the engine owns).
   [[nodiscard]] const SchedulerWeightModel* weight_model() const noexcept {
     return uniform_model_ ? nullptr : weight_model_;
   }
@@ -173,8 +164,7 @@ class CensusEngine final : public Simulator {
   /// model) and the
   /// census.bucket_occupancy histogram (active-edge bucket sizes over the
   /// current configuration; sampled 1-in-8 publishes to keep per-trial
-  /// cost inside the telemetry overhead budget, and omitted while the
-  /// naive fallback is active, when the tables may be stale).
+  /// cost inside the telemetry overhead budget).
   void publish_metrics(telemetry::Registry& registry) override;
 
   // --- Test hooks (deterministic, but not part of the engine contract) ---
@@ -183,10 +173,10 @@ class CensusEngine final : public Simulator {
   /// descent); returns an index into debug_classes(), or its size when the
   /// configuration is quiescent.
   [[nodiscard]] std::size_t debug_draw_class();
-  /// One listed-regime draw (see census_step) against the current
+  /// One listed-regime draw (see advance) against the current
   /// configuration, without executing it; nullopt when the regime does not
   /// apply (uniform-law model, m * w_min >= w_hat, an oversized product
-  /// walk, quiescence, or the naive fallback).
+  /// walk, or quiescence).
   [[nodiscard]] std::optional<std::pair<int, int>> debug_listed_draw();
   /// The effective classes, after syncing the tables.
   [[nodiscard]] const std::vector<EffectiveClass>& debug_classes();
@@ -214,12 +204,6 @@ class CensusEngine final : public Simulator {
   struct ListedPair {
     BucketEdge pair;
     double cumulative = 0.0;
-  };
-
-  enum class StepOutcome : std::uint8_t {
-    kExecuted,         ///< One effective encounter executed.
-    kBudgetExhausted,  ///< Next effective step falls beyond the budget.
-    kQuiescent         ///< W == 0; the clock did not move.
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -269,8 +253,12 @@ class CensusEngine final : public Simulator {
   /// One census-sampled step against weight_model_, never advancing the
   /// clock past `budget`: a listed draw when few effective pairs are left,
   /// else thinning when p_hat < 1, else per-step model sampling.
-  /// Memoryless: a kBudgetExhausted tail is redrawn by the next call.
-  StepOutcome census_step(std::uint64_t budget);
+  /// Memoryless: a kBudgetExhausted tail is redrawn by the next call;
+  /// kQuiescent when W == 0.
+  StepOutcome advance(std::uint64_t budget) override;
+  [[nodiscard]] bool reports_quiescence() const noexcept override { return true; }
+  /// O(1) after a sync: W == 0 (never the O(n^2) scan).
+  [[nodiscard]] bool quiescent_now() override { return effective_pair_weight() == 0; }
   /// Apply the encounter and incrementally repair tables and weights.
   /// `slot` is the pair's edge slot, kNoSlot when the pair has no edge;
   /// every caller already knows which, so no adjacency scan happens here.
@@ -279,8 +267,7 @@ class CensusEngine final : public Simulator {
   /// The uniform random scheduler's model, owned here.
   std::optional<UniformPairWeightModel> uniform_model_;
   /// The active model: &*uniform_model_, or one the scheduler exported
-  /// (non-owning; the scheduler outlives every step). nullptr for a
-  /// model-less scheduler, which keeps the naive fallback for good.
+  /// (non-owning; the scheduler outlives every step). Never null.
   const SchedulerWeightModel* weight_model_ = nullptr;
   /// The World::version() the tables mirror; kNeverSynced forces the next
   /// sync to rebuild.
@@ -303,7 +290,6 @@ class CensusEngine final : public Simulator {
 
   /// w_hat / w_min of the active model: the listed regime runs while
   /// m < list_cap_ (m * w_min < w_hat) and walks at most list_cap_ pairs.
-  /// 0 for a model-less scheduler.
   double list_cap_ = 0.0;
   /// The listed regime's scratch: the effective pairs with running weight
   /// sums, and their total M.

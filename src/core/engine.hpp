@@ -9,7 +9,9 @@
 // engine to the step of the next event with run / run_until_stable and
 // fires it through mutable_world(), so no engine observes every step.
 //
-// Two engines implement it today:
+// Two engines implement it today, sharing one set of run drivers (run,
+// run_until, run_until_stable, defined once in Simulator) and differing
+// only in how they reach the next effective step:
 //  * NaiveEngine (= Simulator, core/simulator.hpp) executes every
 //    scheduler-chosen encounter one virtual call at a time -- the paper's
 //    model verbatim, and the reference semantics.
@@ -17,7 +19,8 @@
 //    encounters directly from a census of state-pair multiplicities and
 //    advances the step counter by the geometrically-distributed count of
 //    skipped ineffective steps -- distributionally faithful convergence
-//    samples at O(1) expected cost per effective interaction.
+//    samples at O(1) expected cost per effective interaction. It needs
+//    the scheduler's weight model and refuses a scheduler without one.
 //
 // The step counters are the paper's running-time clock: `steps()` counts
 // every scheduled interaction (including ineffective ones an engine may

@@ -18,22 +18,15 @@ Simulator::Simulator(Protocol protocol, int n, std::uint64_t seed,
 bool Simulator::naive_step() {
   const Encounter e = scheduler_->next(rng_, world_.size());
   ++steps_;
-  return execute_encounter(e.first, e.second);
+  return execute_encounter(e.first, e.second, world_.edge(e.first, e.second));
 }
 
 bool Simulator::step() { return naive_step(); }
 
-bool Simulator::execute_encounter(int u, int v) {
+bool Simulator::execute_encounter(int u, int v, bool c) {
   // Crashed nodes no longer interact; the scheduled encounter is wasted
   // (time still passes, matching the model where removed nodes simply do
   // not exist to meet).
-  if (world_.dead_count() != 0 && (!world_.alive(u) || !world_.alive(v))) {
-    return false;
-  }
-  return execute_encounter(u, v, world_.edge(u, v));
-}
-
-bool Simulator::execute_encounter(int u, int v, bool c) {
   if (world_.dead_count() != 0 && (!world_.alive(u) || !world_.alive(v))) {
     return false;
   }
@@ -85,22 +78,43 @@ void Simulator::apply(const RuleEntry& rule, int initiator, int responder, bool 
   }
 }
 
+Simulator::StepOutcome Simulator::advance(std::uint64_t budget) {
+  while (steps_ < budget) {
+    if (naive_step()) return StepOutcome::kExecuted;
+  }
+  return StepOutcome::kBudgetExhausted;
+}
+
 void Simulator::run(std::uint64_t count) {
-  for (std::uint64_t i = 0; i < count; ++i) naive_step();
+  const std::uint64_t target = saturating_add(steps_, count);
+  while (steps_ < target) {
+    if (advance(target) == StepOutcome::kQuiescent) {
+      skip_steps(target - steps_);  // nothing left to execute; time still passes
+      return;
+    }
+  }
 }
 
 std::optional<std::uint64_t> Simulator::run_until(
     const std::function<bool(const World&)>& pred, std::uint64_t max_steps) {
   if (pred(world_)) return steps_;
   while (steps_ < max_steps) {
-    naive_step();
-    if (pred(world_)) return steps_;
+    const StepOutcome out = advance(max_steps);
+    if (out == StepOutcome::kQuiescent) {
+      // The world can no longer change, so neither can the predicate.
+      skip_steps(max_steps - steps_);
+      return std::nullopt;
+    }
+    if (out == StepOutcome::kExecuted && pred(world_)) return steps_;
   }
   return std::nullopt;
 }
 
 ConvergenceReport Simulator::run_until_stable(const StabilityOptions& options) {
   const auto [check_interval, max_steps] = resolve_stability_budget(world_.size(), options);
+  // Only a certificate, or a quiescence advance() cannot report, needs the
+  // run to pause and look; otherwise it runs straight to the budget.
+  const bool pause = options.certificate || !reports_quiescence();
 
   ConvergenceReport report;
   while (true) {
@@ -109,14 +123,17 @@ ConvergenceReport Simulator::run_until_stable(const StabilityOptions& options) {
       report.certified = true;
       break;
     }
-    if (is_quiescent()) {
+    if (quiescent_now()) {
       report.stabilized = true;
       report.quiescent = true;
       break;
     }
     if (steps_ >= max_steps) break;
-    const std::uint64_t chunk = std::min(check_interval, max_steps - steps_);
-    Simulator::run(chunk);
+    const std::uint64_t checkpoint =
+        pause ? std::min(max_steps, saturating_add(steps_, check_interval)) : max_steps;
+    while (steps_ < checkpoint) {
+      if (advance(checkpoint) == StepOutcome::kQuiescent) break;
+    }
   }
   report.steps_executed = steps_;
   report.convergence_step = last_output_change_;

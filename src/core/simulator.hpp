@@ -4,10 +4,17 @@
 // model executed verbatim, and the reference semantics every other Engine
 // implementation is measured against (core/engine.hpp).
 //
+// The run drivers (run, run_until, run_until_stable) live here once, for
+// every engine layered on this core: they are written on one protected
+// primitive, advance(), that reaches the next effective step and executes
+// it. This engine's advance() executes scheduled steps one at a time;
+// CensusEngine's samples the next effective step directly. Besides
+// advance(), engines differ only in how run_until_stable checks quiescence.
+//
 // Stabilization detection is sound:
 //  * Full quiescence -- no encounter is effective in the current
 //    configuration -- always certifies stability (checked by an O(n^2) scan
-//    amortized over long step intervals).
+//    amortized over long step intervals here; O(1) in CensusEngine).
 //  * Protocols whose stable configurations are not quiescent (e.g. 2RC/kRC
 //    leader swapping, Graph-Replication's eternal leader walk) supply a
 //    *certificate* predicate, proven sound in the paper, that recognizes
@@ -56,17 +63,18 @@ class Simulator : public Engine {
   /// Execute one interaction. Returns true if it was effective.
   bool step() override;
 
-  /// Execute exactly `count` steps.
-  void run(std::uint64_t count) override;
+  /// Execute exactly `count` steps (the target saturates at 2^64 - 1).
+  void run(std::uint64_t count) final;
 
-  /// Run until `pred(world)` holds (checked after every step; keep it O(1),
-  /// e.g. census-based) or until `max_steps`. Returns the step count at
-  /// which the predicate first held, or nullopt on timeout.
+  /// Run until `pred(world)` holds or until `max_steps`. The world only
+  /// changes on effective steps, so the predicate is checked after those
+  /// (keep it O(1), e.g. census-based). Returns the step count at which
+  /// the predicate first held, or nullopt on timeout.
   [[nodiscard]] std::optional<std::uint64_t> run_until(
-      const std::function<bool(const World&)>& pred, std::uint64_t max_steps) override;
+      const std::function<bool(const World&)>& pred, std::uint64_t max_steps) final;
 
   /// Run until stabilization is certified (quiescence or certificate).
-  [[nodiscard]] ConvergenceReport run_until_stable(const StabilityOptions& options) override;
+  [[nodiscard]] ConvergenceReport run_until_stable(const StabilityOptions& options) final;
   using Engine::run_until_stable;
 
   /// O(n^2) scan: no encounter is effective in the current configuration.
@@ -81,29 +89,43 @@ class Simulator : public Engine {
   void publish_metrics(telemetry::Registry& registry) override;
 
  protected:
+  /// What one advance() call did.
+  enum class StepOutcome : std::uint8_t {
+    kExecuted,         ///< One effective encounter executed.
+    kBudgetExhausted,  ///< The clock reached the budget first.
+    kQuiescent         ///< No encounter is effective; the clock did not move.
+  };
+
+  /// The stepping primitive the run drivers share: advance the clock to
+  /// the next effective step and execute it, never moving the clock past
+  /// `budget`. Here: scheduled steps one at a time, which cannot see
+  /// quiescence, so this never returns kQuiescent.
+  virtual StepOutcome advance(std::uint64_t budget);
+
+  /// Whether advance() reports kQuiescent. Such an engine runs a
+  /// certificate-less run_until_stable straight to its budget; this one
+  /// pauses every check_interval steps to scan for quiescence.
+  [[nodiscard]] virtual bool reports_quiescence() const noexcept { return false; }
+
+  /// Quiescence as run_until_stable checks it; non-const so an engine can
+  /// bring derived tables up to date first instead of scanning all pairs.
+  [[nodiscard]] virtual bool quiescent_now() { return is_quiescent(); }
+
   // Hooks for engines layered on the naive core (CensusEngine): execute a
   // chosen encounter exactly as a scheduled step would, and advance the
   // paper's step clock over interactions proven ineffective.
 
-  /// Resolve and apply the encounter (u, v) against the current edge state.
-  /// Returns true if it was effective. Does NOT touch the step counter;
-  /// callers account for the step themselves.
-  bool execute_encounter(int u, int v);
-  /// As above with the caller-known current edge state of {u, v}, sparing
-  /// the probe when an engine's own tables already answer it.
+  /// Resolve and apply the encounter (u, v) with the caller-known current
+  /// edge state `c` of {u, v}. Returns true if it was effective. Does NOT
+  /// touch the step counter; callers account for the step themselves.
   bool execute_encounter(int u, int v, bool c);
 
   /// Advance the step clock by `count` interactions without executing them.
   void skip_steps(std::uint64_t count) noexcept { steps_ += count; }
 
-  /// One scheduled naive step, exactly as Simulator::step performs it --
-  /// non-virtual so subclasses in fall-back mode reproduce the reference
-  /// semantics bit-for-bit.
-  bool naive_step();
-
   /// The installed scheduler (never null; the default is the uniform
-  /// random scheduler). Lets CensusEngine decide whether census sampling's
-  /// uniform-pair assumption holds.
+  /// random scheduler). Lets CensusEngine recognize the uniform scheduler,
+  /// whose weight model it owns.
   [[nodiscard]] const Scheduler* scheduler() const noexcept { return scheduler_.get(); }
 
   /// Mutable scheduler access for engines that query the weight-model seam
@@ -112,6 +134,8 @@ class Simulator : public Engine {
   [[nodiscard]] Scheduler* mutable_scheduler() noexcept { return scheduler_.get(); }
 
  private:
+  /// One scheduled step: draw an encounter and execute it.
+  bool naive_step();
   /// Apply `rule` to the pair, whose current edge state is `c`.
   void apply(const RuleEntry& rule, int initiator, int responder, bool c);
 

@@ -6,10 +6,7 @@
 #include "telemetry/metrics.hpp"
 
 #include <climits>
-#include <iostream>
-#include <mutex>
 #include <optional>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -91,31 +88,6 @@ Submission parse_submission(const std::string& body) {
     }
   }
   return submission;
-}
-
-/// build_spec prints its diagnostics to stderr (it is shared with the
-/// CLIs); capture them for the 400 envelope. The swap is process-global,
-/// hence the static mutex across concurrent HTTP workers.
-std::optional<campaign::CampaignSpec> build_spec_captured(const campaign::SpecCli& cli,
-                                                          std::string& error) {
-  static std::mutex capture_mutex;
-  const std::lock_guard lock(capture_mutex);
-  std::ostringstream captured;
-  std::streambuf* const previous = std::cerr.rdbuf(captured.rdbuf());
-  std::optional<campaign::CampaignSpec> spec;
-  try {
-    spec = campaign::build_spec(cli);
-  } catch (...) {
-    std::cerr.rdbuf(previous);
-    throw;
-  }
-  std::cerr.rdbuf(previous);
-  if (!spec) {
-    error = captured.str();
-    while (!error.empty() && error.back() == '\n') error.pop_back();
-    if (error.empty()) error = "invalid campaign spec";
-  }
-  return spec;
 }
 
 constexpr std::string_view kCampaignsPrefix = "/v1/campaigns";
@@ -239,7 +211,7 @@ HttpResponse Api::submit(const HttpRequest& request) {
   std::string spec_error;
   std::optional<campaign::CampaignSpec> spec;
   try {
-    spec = build_spec_captured(submission.cli, spec_error);
+    spec = campaign::build_spec(submission.cli, &spec_error);
   } catch (const std::exception& error) {
     return error_response(400, std::string("bad campaign spec: ") + error.what());
   }

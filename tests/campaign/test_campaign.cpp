@@ -4,6 +4,7 @@
 #include "campaign/registry.hpp"
 #include "campaign/result_sink.hpp"
 #include "campaign/seeds.hpp"
+#include "campaign/spec_cli.hpp"
 #include "campaign/trial_record.hpp"
 #include "protocols/protocols.hpp"
 
@@ -320,6 +321,46 @@ TEST(Registry, ResolvesKnownNamesAndRejectsUnknown) {
   const auto krc3 = make_protocol("krc", ProtocolParams{3, 3, 3});
   ASSERT_TRUE(krc3.has_value());
   EXPECT_EQ(krc3->protocol.state_count(), 2 * (3 + 1));
+}
+
+TEST(SpecCli, EachFailureKindReturnsItsMessageWithoutPrinting) {
+  // build_spec reports through its out-parameter only: a caller serving
+  // several requests at once must not see them in a shared stream.
+  SpecCli valid;
+  valid.protocols = {"global-star"};
+  valid.ns = {8};
+  ASSERT_TRUE(build_spec(valid).has_value());
+
+  const auto with = [&valid](auto edit) {
+    SpecCli cli = valid;
+    edit(cli);
+    return cli;
+  };
+  const std::vector<std::pair<SpecCli, std::string>> cases = {
+      {with([](SpecCli& c) { c.protocols = {"no-such-protocol"}; }),
+       "unknown protocol 'no-such-protocol'; registered protocols: "},
+      {with([](SpecCli& c) { c.processes = {"no-such-process"}; }),
+       "unknown process 'no-such-process'; registered processes: "},
+      {with([](SpecCli& c) { c.schedulers = {"no-such-scheduler"}; }),
+       "unknown scheduler 'no-such-scheduler'; registered schedulers: "},
+      {with([](SpecCli& c) { c.faults = {"meteor:k=1"}; }),
+       "fault plan 'meteor:k=1': unknown fault kind 'meteor'"},
+      {with([](SpecCli& c) { c.engines = {"warp"}; }),
+       "unknown engine 'warp'; registered engines: naive, census"},
+      {with([](SpecCli& c) { c.ns.clear(); }),
+       "nothing to run: need --protocols and/or --processes, plus --ns"},
+      {with([](SpecCli& c) { c.protocols.clear(); }),
+       "nothing to run: need --protocols and/or --processes, plus --ns"},
+  };
+  for (const auto& [cli, expected] : cases) {
+    SCOPED_TRACE(expected);
+    std::string error;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(build_spec(cli, &error).has_value());
+    EXPECT_FALSE(build_spec(cli).has_value());
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_NE(error.find(expected), std::string::npos) << error;
+  }
 }
 
 TEST(JobQueue, RunsEveryJobExactlyOnceAndPropagatesErrors) {

@@ -47,8 +47,9 @@ CampaignResult run_recorded(const CampaignSpec& spec, const fs::path& dir, int s
                        header);
   RunOptions options;
   options.threads = 2;
-  options.shard_index = shard_index;
-  options.shard_count = shard_count;
+  options.select = [&spec, shard_index, shard_count](std::size_t point, int trial) {
+    return in_shard(point, trial, spec.trials, shard_index, shard_count);
+  };
   options.trial_cap = trial_cap;
   options.resume = resume;
   options.on_trial = [&sink](std::size_t point, int trial, std::uint64_t seed,

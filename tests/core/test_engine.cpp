@@ -1,5 +1,5 @@
 // The pluggable execution-engine API: CensusEngine equivalence with the
-// naive reference, its exactness fallbacks, the protocol-derived
+// naive reference, its exactness boundary, the protocol-derived
 // effectiveness table, and the Protocol::resolve swap-symmetry edge cases
 // the census sampler depends on.
 #include "core/census_engine.hpp"
@@ -14,6 +14,8 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 namespace netcons {
@@ -223,7 +225,7 @@ TEST(CensusEngine, RunUntilMatchesPredicateSemantics) {
   EXPECT_EQ(stuck.steps(), 5'000u);
 }
 
-// --- fallbacks -------------------------------------------------------------
+// --- exactness boundary ----------------------------------------------------
 
 namespace {
 
@@ -246,22 +248,21 @@ class RotatingScheduler final : public Scheduler {
 
 }  // namespace
 
-TEST(CensusEngine, ModellessSchedulerFallsBackToExactNaiveSemantics) {
-  // A custom scheduler that exports no weight model forces the reference
-  // per-step path -- bit-identical to a Simulator built with the same seed
-  // and scheduler, not merely equal in distribution.
+TEST(CensusEngine, ModellessSchedulerIsRejected) {
+  // A custom scheduler that exports no weight model has no census law; the
+  // census engine refuses it at construction and names the engine that can
+  // run it, which still does.
   const Protocol star = star_protocol();
-  CensusEngine census(star, 12, 77, std::make_unique<RotatingScheduler>());
-  EXPECT_TRUE(census.fallback_active());
-  Simulator naive(star, 12, 77, std::make_unique<RotatingScheduler>());
-  census.run(500);
-  naive.run(500);
-  EXPECT_EQ(census.steps(), naive.steps());
-  EXPECT_EQ(census.effective_steps(), naive.effective_steps());
-  EXPECT_EQ(census.last_output_change(), naive.last_output_change());
-  for (int u = 0; u < 12; ++u) {
-    EXPECT_EQ(census.world().state(u), naive.world().state(u)) << "node " << u;
+  try {
+    CensusEngine census(star, 12, 77, std::make_unique<RotatingScheduler>());
+    FAIL() << "a model-less scheduler was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("naive"), std::string::npos) << e.what();
   }
+  Simulator naive(star, 12, 77, std::make_unique<RotatingScheduler>());
+  naive.run(500);
+  EXPECT_EQ(naive.steps(), 500u);
+  EXPECT_GT(naive.effective_steps(), 0u);
 }
 
 TEST(CensusEngine, ScheduledBurstFiresAtTheSameStepOnBothEngines) {
@@ -277,7 +278,6 @@ TEST(CensusEngine, ScheduledBurstFiresAtTheSameStepOnBothEngines) {
     EXPECT_EQ(report.faults_injected, 1u) << engine->engine_name();
     EXPECT_EQ(report.last_fault_step, 999u) << engine->engine_name();
   }
-  EXPECT_FALSE(census.fallback_active());
   EXPECT_GT(census.stats().effective_samples, 0u);
 
   // Process trials run the same driver: the burst fires at 999 there too.
@@ -307,6 +307,25 @@ TEST(CensusEngine, ExternalWorldMutationInvalidatesTheTables) {
   const ConvergenceReport repaired = engine.run_until_stable();
   EXPECT_TRUE(repaired.stabilized);
   EXPECT_TRUE(engine.world().edge(centers[0], peripheral));
+}
+
+TEST(CensusEngine, QuiescenceAfterAnOutsideEditCostsOneRebuildNotAScan) {
+  // run_until_stable checks quiescence through the census tables: an edit
+  // that leaves the world quiescent costs exactly one full rebuild, and the
+  // run ends at once without moving the clock.
+  CensusEngine engine(star_protocol(), 10, 31);
+  ASSERT_TRUE(engine.run_until_stable().quiescent);
+  const std::vector<int> centers = engine.world().nodes_where([](StateId s) { return s == 0; });
+  ASSERT_EQ(centers.size(), 1u);
+  const int peripheral = centers[0] == 0 ? 1 : 0;
+  engine.mutable_world().set_edge(centers[0], peripheral, false);
+  engine.mutable_world().set_edge(centers[0], peripheral, true);  // the same star again
+  const std::uint64_t rebuilds = engine.stats().full_rebuilds;
+  const std::uint64_t steps = engine.steps();
+  const ConvergenceReport report = engine.run_until_stable();
+  EXPECT_TRUE(report.quiescent);
+  EXPECT_EQ(engine.stats().full_rebuilds, rebuilds + 1);
+  EXPECT_EQ(engine.steps(), steps);
 }
 
 TEST(CensusEngine, CertificateProtocolsStabilizeUnderCensusSampling) {

@@ -99,7 +99,7 @@ TEST(FuzzSchedulerSpec, CorpusHoldsEveryProperty) {
     SCOPED_TRACE("'" + spec + "'");
     if (check(spec)) ++parsed;
   }
-  EXPECT_EQ(parsed, static_cast<int>(corpus().size()) - 1);  // all but alpha=nan
+  EXPECT_EQ(parsed, static_cast<int>(corpus().size()) - 2);  // all but alpha=inf, alpha=nan
 }
 
 TEST(FuzzSchedulerSpec, TenThousandMutationsHoldEveryProperty) {
@@ -115,12 +115,15 @@ TEST(FuzzSchedulerSpec, TenThousandMutationsHoldEveryProperty) {
   EXPECT_LT(rejected, 9900);
 }
 
-TEST(FuzzSchedulerSpec, EmbeddedNulAndUnknownNamesAreRejectedWithAReason) {
-  // strtod stops at an embedded NUL, so a value must end where its token
-  // ends, or "r=0.5\0junk" would carry the junk into the point name; and
-  // every rejection, an unknown name included, must say why.
+TEST(FuzzSchedulerSpec, MalformedNumbersAndUnknownNamesAreRejectedWithAReason) {
+  // A value must be a finite decimal number ending where its token ends:
+  // "r=0.5\0junk" or "r= 0.5" would carry their junk into the point name,
+  // and alpha=inf would build a uniform model under a proximity name. Every
+  // rejection, an unknown name included, must say why.
   for (const std::string& spec :
        {std::string("proximity:r=0.5\0junk", 21), std::string("stale-biased:bias=0.5\0x", 23),
+        std::string("proximity:alpha=inf"), std::string("proximity:alpha=nan"),
+        std::string("proximity:alpha=0x10"), std::string("proximity:r= 0.5"),
         std::string("uniformx"), std::string("")}) {
     std::string error;
     EXPECT_FALSE(make_scheduler(spec, &error).has_value()) << spec;

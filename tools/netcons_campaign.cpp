@@ -225,15 +225,22 @@ int main(int argc, char** argv) {
   // `--engine list` prints the engine registry, mirroring --list's other axes.
   if (opt.spec.engines.size() == 1 && opt.spec.engines[0] == "list") return list_engines();
 
-  const auto built = campaign::build_spec(opt.spec);
-  if (!built) return usage(argv[0]);
+  std::string spec_error;
+  const auto built = campaign::build_spec(opt.spec, &spec_error);
+  if (!built) {
+    std::cerr << spec_error << "\n";
+    return usage(argv[0]);
+  }
   const campaign::CampaignSpec& spec = *built;
 
   campaign::RunOptions run_options;
   run_options.threads = opt.threads;
-  run_options.shard_index = opt.shard_index;
-  run_options.shard_count = opt.shard_count;
   run_options.trial_cap = opt.trial_cap;
+  if (opt.shard_count > 1) {
+    run_options.select = [&spec, &opt](std::size_t point, int trial) {
+      return campaign::in_shard(point, trial, spec.trials, opt.shard_index, opt.shard_count);
+    };
+  }
 
   // A shard run's work only survives through its record stream.
   const std::optional<std::string> records_dir =

@@ -137,8 +137,12 @@ int main(int argc, char** argv) {
   if (!parsed) return usage(argv[0]);
   const Options& opt = *parsed;
 
-  const auto spec = campaign::build_spec(opt.spec);
-  if (!spec) return usage(argv[0]);
+  std::string spec_error;
+  const auto spec = campaign::build_spec(opt.spec, &spec_error);
+  if (!spec) {
+    std::cerr << spec_error << "\n";
+    return usage(argv[0]);
+  }
 
   fabric::WorkerOptions worker_options;
   worker_options.host = opt.host;
