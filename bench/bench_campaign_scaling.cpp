@@ -10,7 +10,9 @@
 // Exit status: nonzero if determinism fails, or if the machine has >= 4
 // cores and the speedup is < 3x. With --advisory the speedup is reported
 // but never failed on (used by the ctest registration, where shared CI
-// runners make wall-clock gates flaky); determinism is always enforced.
+// runners make wall-clock gates flaky), and a serial side under 1 s reads
+// "unresolved" instead of a verdict (it would time thread start-up);
+// determinism is always enforced.
 //
 // Usage: bench_campaign_scaling [trials_per_point] [--advisory] [--json FILE]
 //
@@ -38,6 +40,9 @@ constexpr const char* kUsage =
     "  TRIALS        trials per grid point (default 100)\n"
     "  --advisory    report the speedup but never fail on it\n"
     "  --json FILE   write the metrics\n";
+
+/// Below this serial wall time an advisory run prints no speedup verdict.
+constexpr double kMinResolvedSerialSeconds = 1.0;
 
 int main(int argc, char** argv) {
   if (netcons::bench::help_requested(argc, argv, kUsage)) return 0;
@@ -123,8 +128,14 @@ int main(int argc, char** argv) {
   bool ok = identical;
   if (hw_threads >= 4) {
     const bool fast_enough = speedup >= 3.0;
-    std::cout << ">= 3x on >= 4 cores: " << (fast_enough ? "PASS" : "FAIL")
-              << (advisory ? " (advisory: not enforced)" : "") << '\n';
+    if (advisory && serial_result.wall_seconds < kMinResolvedSerialSeconds) {
+      // A serial side this short times thread start-up, not the pool.
+      std::cout << ">= 3x on >= 4 cores: unresolved (serial side "
+                << static_cast<long long>(serial_result.wall_seconds * 1000.0) << " ms)\n";
+    } else {
+      std::cout << ">= 3x on >= 4 cores: " << (fast_enough ? "PASS" : "FAIL")
+                << (advisory ? " (advisory: not enforced)" : "") << '\n';
+    }
     if (!advisory) ok = ok && fast_enough;
   } else {
     std::cout << "(fewer than 4 hardware threads: speedup reported, not judged)\n";

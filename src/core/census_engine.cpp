@@ -32,6 +32,30 @@ std::vector<EffectiveClass> effective_state_classes(const Protocol& protocol) {
   return out;
 }
 
+std::vector<StateId> terminal_states(const Protocol& protocol) {
+  const int q = protocol.state_count();
+  std::vector<char> leaves(static_cast<std::size_t>(q), 0);
+  for (int a = 0; a < q; ++a) {
+    for (int b = 0; b < q; ++b) {
+      for (const bool c : {false, true}) {
+        const RuleEntry& rule = protocol.entry(static_cast<StateId>(a), static_cast<StateId>(b), c);
+        if (!rule.defined || !rule.effective) continue;
+        // Same-state encounters need no extra case for the symmetry-breaking
+        // swap: with a == b, either outcome state that differs marks a.
+        for (const Outcome& out : {rule.primary, rule.coin ? rule.secondary : rule.primary}) {
+          if (out.a != a) leaves[static_cast<std::size_t>(a)] = 1;
+          if (out.b != b) leaves[static_cast<std::size_t>(b)] = 1;
+        }
+      }
+    }
+  }
+  std::vector<StateId> out;
+  for (int s = 0; s < q; ++s) {
+    if (leaves[static_cast<std::size_t>(s)] == 0) out.push_back(static_cast<StateId>(s));
+  }
+  return out;
+}
+
 CensusEngine::CensusEngine(Protocol protocol, int n, std::uint64_t seed,
                            std::unique_ptr<Scheduler> scheduler)
     : Simulator(std::move(protocol), n, seed, std::move(scheduler)) {
@@ -55,6 +79,8 @@ CensusEngine::CensusEngine(Protocol protocol, int n, std::uint64_t seed,
   // Model weights are static for the trial, so the listed regime's bound
   // is too: exactly 1 for uniform-law models, which therefore never list.
   list_cap_ = weight_model_->max_weight() / weight_model_->min_weight();
+  terminal_.assign(static_cast<std::size_t>(Simulator::protocol().state_count()), 0);
+  for (const StateId t : terminal_states(Simulator::protocol())) terminal_[t] = 1;
 }
 
 std::uint32_t CensusEngine::bucket_key(StateId a, StateId b) const noexcept {
@@ -140,8 +166,8 @@ void CensusEngine::insert_edge(int u, int v) {
   auto& bucket = buckets_[key];
   e.bucket_pos = static_cast<std::uint32_t>(bucket.size());
   bucket.push_back(slot);
-  e.pos_u = adj_push(u, slot);
-  e.pos_v = adj_push(v, slot);
+  e.pos_u = terminal_[su] ? kNoPos : adj_push(u, slot);
+  e.pos_v = terminal_[sv] ? kNoPos : adj_push(v, slot);
 }
 
 void CensusEngine::erase_edge(std::uint32_t slot) {
@@ -152,11 +178,10 @@ void CensusEngine::erase_edge(std::uint32_t slot) {
   bucket.pop_back();
   if (moved_b != slot) edges_[moved_b].bucket_pos = e.bucket_pos;
 
-  adj_swap_remove(e.u, e.pos_u);
-  // The first removal may have moved this very slot within v's list; its
-  // stored position is only stale if the moved entry was `slot` itself,
-  // which adj_swap_remove keeps coherent by updating edges_[slot].pos_v.
-  adj_swap_remove(e.v, edges_[slot].pos_v);
+  // Terminal endpoints hold no list entry. The two lists are distinct, so
+  // the first removal never moves this slot's entry in v's list.
+  if (e.pos_u != kNoPos) adj_swap_remove(e.u, e.pos_u);
+  if (e.pos_v != kNoPos) adj_swap_remove(e.v, e.pos_v);
   free_slots_.push_back(slot);
 }
 
@@ -177,10 +202,21 @@ void CensusEngine::rebucket_edge(std::uint32_t slot) {
   bucket.push_back(slot);
 }
 
-std::uint32_t CensusEngine::find_edge_slot(int u, int v) const noexcept {
+std::uint32_t CensusEngine::find_edge_slot(int u, int v) {
   if (u > v) std::swap(u, v);
-  const std::uint32_t lu = adj_len_[static_cast<std::size_t>(u)];
-  const std::uint32_t lv = adj_len_[static_cast<std::size_t>(v)];
+  const StateId su = world().state(u);
+  const StateId sv = world().state(v);
+  if (terminal_[su] && terminal_[sv]) {
+    // Neither endpoint keeps a list; the edge sits in its states' bucket.
+    ++stats_.slot_scans;
+    for (const std::uint32_t slot : buckets_[bucket_key(std::min(su, sv), std::max(su, sv))]) {
+      if (edges_[slot].u == u && edges_[slot].v == v) return slot;
+    }
+    return kNoSlot;
+  }
+  // Scan the shorter list among the endpoints that keep one.
+  const std::uint32_t lu = terminal_[su] ? kNoPos : adj_len_[static_cast<std::size_t>(u)];
+  const std::uint32_t lv = terminal_[sv] ? kNoPos : adj_len_[static_cast<std::size_t>(v)];
   const int node = lu <= lv ? u : v;
   const std::uint32_t len = lu <= lv ? lu : lv;
   for (std::uint32_t pos = 0; pos < len; ++pos) {
@@ -188,6 +224,25 @@ std::uint32_t CensusEngine::find_edge_slot(int u, int v) const noexcept {
     if (edges_[slot].u == u && edges_[slot].v == v) return slot;
   }
   return kNoSlot;
+}
+
+void CensusEngine::sweep_incident_edges(int u, std::uint32_t skip) {
+  const auto node = static_cast<std::size_t>(u);
+  // A node entering a terminal state never leaves it while the tables
+  // mirror the world, so the sweep that rebuckets its edges drops its list.
+  const bool drop = terminal_[world().state(u)] != 0;
+  for (std::uint32_t pos = 0; pos < adj_len_[node]; ++pos) {
+    const std::uint32_t slot = adj_at(u, pos);
+    if (slot != skip) rebucket_edge(slot);
+    if (drop) {
+      EdgeSlot& e = edges_[slot];
+      (e.u == u ? e.pos_u : e.pos_v) = kNoPos;
+    }
+  }
+  if (drop) {
+    adj_len_[node] = 0;
+    std::vector<std::uint32_t>().swap(adj_over_[node]);
+  }
 }
 
 void CensusEngine::node_list_move(int u, StateId from, StateId to) {
@@ -380,20 +435,15 @@ void CensusEngine::execute_and_update(int u, int v, std::uint32_t slot) {
   // rebucket (covered by the incident-edge sweeps below, which read the
   // world's post-encounter states, so (u, v) lands on its final key).
   if (had_edge && !has_edge) erase_edge(slot);
+  // Only a non-terminal node changes state, so the node moving has its
+  // list; (u, v) was already rebucketed in u's sweep when sa changed too.
   if (sa != na) {
     node_list_move(u, sa, na);
-    for (std::uint32_t pos = 0; pos < adj_len_[static_cast<std::size_t>(u)]; ++pos) {
-      rebucket_edge(adj_at(u, pos));
-    }
+    sweep_incident_edges(u, kNoSlot);
   }
   if (sb != nb) {
     node_list_move(v, sb, nb);
-    for (std::uint32_t pos = 0; pos < adj_len_[static_cast<std::size_t>(v)]; ++pos) {
-      const std::uint32_t s = adj_at(v, pos);
-      // (u, v) was already rebucketed in u's sweep when sa changed too.
-      if (sa != na && s == slot) continue;
-      rebucket_edge(s);
-    }
+    sweep_incident_edges(v, sa != na ? slot : kNoSlot);
   }
   if (!had_edge && has_edge) insert_edge(u, v);
 
@@ -505,6 +555,7 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
     telemetry::Counter* weighted_rejects = nullptr;
     telemetry::Counter* weighted_dense = nullptr;
     telemetry::Counter* weighted_listed = nullptr;
+    telemetry::Counter* slot_scans = nullptr;
     telemetry::Histogram* occupancy = nullptr;
   };
   thread_local Handles handles;
@@ -516,6 +567,7 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
     handles.weighted_rejects = &registry.counter("census.weighted_rejects");
     handles.weighted_dense = &registry.counter("census.weighted_dense_steps");
     handles.weighted_listed = &registry.counter("census.weighted_listed_steps");
+    handles.slot_scans = &registry.counter("census.slot_scans");
     handles.occupancy = &registry.histogram("census.bucket_occupancy",
                                             {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
     handles.registry_id = registry.id();
@@ -523,6 +575,7 @@ void CensusEngine::publish_metrics(telemetry::Registry& registry) {
   handles.full_rebuilds->add(stats_.full_rebuilds);
   handles.skips->add(stats_.geometric_skips);
   handles.samples->add(stats_.effective_samples);
+  handles.slot_scans->add(stats_.slot_scans);
   if (weight_model() != nullptr) {
     // Every census sample is a weighted one under a scheduler's own model.
     handles.weighted_samples->add(stats_.effective_samples);
@@ -601,5 +654,45 @@ std::string CensusEngine::debug_table_snapshot() {
 }
 
 void CensusEngine::debug_force_full_rebuild() { rebuild_tables(); }
+
+std::string CensusEngine::debug_incidence_violation() {
+  sync_tables();
+  const World& w = world();
+  std::vector<std::vector<std::uint32_t>> want(static_cast<std::size_t>(w.size()));
+  std::vector<char> free(edges_.size(), 0);
+  for (const std::uint32_t slot : free_slots_) free[slot] = 1;
+  for (std::uint32_t slot = 0; slot < edges_.size(); ++slot) {
+    if (free[slot] != 0) continue;
+    const EdgeSlot& e = edges_[slot];
+    for (const auto& [node, pos] : {std::pair{e.u, e.pos_u}, std::pair{e.v, e.pos_v}}) {
+      const auto where = [&, node = node] {
+        return "slot " + std::to_string(slot) + " at node " + std::to_string(node);
+      };
+      if (terminal_[w.state(node)]) {
+        if (pos != kNoPos) return where() + ": terminal endpoint has a list position";
+        continue;
+      }
+      want[static_cast<std::size_t>(node)].push_back(slot);
+      if (pos >= adj_len_[static_cast<std::size_t>(node)] || adj_at(node, pos) != slot) {
+        return where() + ": position does not name its list entry";
+      }
+    }
+  }
+  for (int u = 0; u < w.size(); ++u) {
+    std::vector<std::uint32_t> have;
+    for (std::uint32_t pos = 0; pos < adj_len_[static_cast<std::size_t>(u)]; ++pos) {
+      have.push_back(adj_at(u, pos));
+    }
+    std::vector<std::uint32_t>& need = want[static_cast<std::size_t>(u)];
+    std::sort(have.begin(), have.end());
+    std::sort(need.begin(), need.end());
+    if (have != need) {
+      return "node " + std::to_string(u) + (terminal_[w.state(u)] ? " (terminal)" : "") +
+             ": list holds " + std::to_string(have.size()) + " slots, incident edges " +
+             std::to_string(need.size());
+    }
+  }
+  return {};
+}
 
 }  // namespace netcons

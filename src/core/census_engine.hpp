@@ -12,12 +12,31 @@
 //
 // This engine never executes those. It maintains
 //   * per-state alive-node lists (who is in state q),
-//   * per-state-pair active-edge buckets over a flat SoA edge store
-//     (parallel arrays of endpoints, bucket ids, and back-pointer
-//     positions; swap-remove everywhere; a free list recycles slots), and
+//   * per-state-pair active-edge buckets over a flat edge store (one
+//     packed record per edge: endpoints, bucket id, and back-pointer
+//     positions; swap-remove everywhere; a free list recycles slots),
+//   * per-node incidence lists of edge slots, kept only for nodes in a
+//     non-terminal state (below), and
 //   * the protocol-derived list of *effective classes*: the (a, b, c)
 //     triples, a <= b, for which Protocol::ineffective is false,
 // giving every class multiplicity -- and hence W -- in O(1).
+//
+// A node's incidence list exists to rebucket its edges when its state
+// changes. A *terminal* state is one no effective rule moves a node out of
+// (terminal_states(): both coin branches and the same-state swap counted;
+// Global-Star's p, Cycle-Cover's q2), so a node in one never needs its
+// list: inserting an edge skips a terminal endpoint (its position is
+// kNoPos), erasing one touches only non-terminal endpoints' lists, and a
+// node entering a terminal state drops its list in the same sweep that
+// rebuckets its edges. Only an outside mutation (a fault) can move a node
+// out of a terminal state, and that costs the usual one rebuild. The one
+// lookup that needs an edge's slot without having drawn it -- the dense
+// regime's, which samples the model's pair law directly -- scans a
+// non-terminal endpoint's list, or, when both endpoints are terminal, the
+// pair's bucket (O(bucket); counted in Stats::slot_scans). Global-Star at
+// n = 2^14 peaks at ~11.6 n edges, nearly all between two p nodes, so the
+// lists it no longer keeps are most of the engine's random memory
+// traffic.
 //
 // One stepping loop serves every scheduler, through the weight-model seam
 // (SchedulerWeightModel, core/scheduler.hpp): a scheduler whose single-step
@@ -108,6 +127,13 @@ struct EffectiveClass {
 /// table-agreement tests (tests/core/test_engine.cpp).
 [[nodiscard]] std::vector<EffectiveClass> effective_state_classes(const Protocol& protocol);
 
+/// The states no effective rule moves a node out of, ascending: every
+/// defined effective entry, both coin branches and, for same-state
+/// encounters, the symmetry-breaking swap of the outcome states leave a
+/// node in such a state where it is. Exposed for the table tests
+/// (tests/core/test_census_scale.cpp).
+[[nodiscard]] std::vector<StateId> terminal_states(const Protocol& protocol);
+
 class CensusEngine final : public Simulator {
  public:
   /// Internals counters surfaced by publish_metrics (single-threaded: an
@@ -121,6 +147,9 @@ class CensusEngine final : public Simulator {
     std::uint64_t weighted_dense_steps = 0;  ///< Per-step draws in the dense regime.
     /// Effective steps drawn from a listing of the effective pairs.
     std::uint64_t weighted_listed_steps = 0;
+    /// Dense-regime edge-slot lookups that scanned a bucket because both
+    /// endpoints were in terminal states (and so kept no incidence list).
+    std::uint64_t slot_scans = 0;
   };
 
   /// The uniform random scheduler (the default, also recognized when
@@ -189,6 +218,12 @@ class CensusEngine final : public Simulator {
   [[nodiscard]] std::string debug_table_snapshot();
   /// Discard the tables and rebuild from the world (for equivalence tests).
   void debug_force_full_rebuild();
+  /// The incidence invariant, after syncing the tables: every alive node
+  /// in a non-terminal state lists exactly its incident edge slots, every
+  /// node in a terminal state lists none, and each slot's pos_u / pos_v
+  /// names its entry in its endpoint's list (kNoPos for a terminal
+  /// endpoint). Returns the first violation found, empty if none.
+  [[nodiscard]] std::string debug_incidence_violation();
 
  private:
   struct BucketEdge {
@@ -207,6 +242,8 @@ class CensusEngine final : public Simulator {
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  /// EdgeSlot::pos_u / pos_v of an endpoint in a terminal state.
+  static constexpr std::uint32_t kNoPos = 0xffffffffu;
 
   // --- table lifecycle ---
   /// Rebuild the tables from the world, ending with fresh weights.
@@ -219,12 +256,21 @@ class CensusEngine final : public Simulator {
   // --- SoA edge store ---
   [[nodiscard]] std::uint32_t bucket_key(StateId a, StateId b) const noexcept;
   [[nodiscard]] std::uint64_t class_multiplicity(const EffectiveClass& cls) const noexcept;
+  /// Store the edge {u, v} in its bucket and in the lists of its
+  /// endpoints whose current states are non-terminal.
   void insert_edge(int u, int v);
   void erase_edge(std::uint32_t slot);
   /// Move an edge to the bucket of its endpoints' *current* states after a
   /// state change (adjacency positions are untouched).
   void rebucket_edge(std::uint32_t slot);
-  [[nodiscard]] std::uint32_t find_edge_slot(int u, int v) const noexcept;
+  /// Rebucket every edge in u's list (after u changed state) except
+  /// `skip`, and drop the list if u's new state is terminal.
+  void sweep_incident_edges(int u, std::uint32_t skip);
+  /// The slot of edge {u, v}, kNoSlot if absent: a scan of the shorter
+  /// list of a non-terminal endpoint, or of the pair's bucket when both
+  /// endpoints are terminal (counted in Stats::slot_scans). Only the
+  /// dense regime, which draws a pair without its slot, needs it.
+  [[nodiscard]] std::uint32_t find_edge_slot(int u, int v);
   void node_list_move(int u, StateId from, StateId to);
 
   // --- class weights ---
@@ -298,6 +344,8 @@ class CensusEngine final : public Simulator {
 
   std::vector<std::vector<std::int32_t>> nodes_by_state_;
   std::vector<std::int32_t> node_pos_;
+  /// terminal_[q] != 0 iff q is in terminal_states(protocol()).
+  std::vector<char> terminal_;
 
   // Flat edge store: one packed 24-byte record per active edge (endpoints,
   // bucket id, and the three back-pointers that make every removal a
@@ -309,6 +357,8 @@ class CensusEngine final : public Simulator {
     std::int32_t v = 0;  ///< Larger endpoint.
     std::uint32_t bucket = 0;
     std::uint32_t bucket_pos = 0;
+    /// Positions in u's / v's incidence list; kNoPos for an endpoint in a
+    /// terminal state, which keeps no list.
     std::uint32_t pos_u = 0;
     std::uint32_t pos_v = 0;
   };
@@ -316,11 +366,13 @@ class CensusEngine final : public Simulator {
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::vector<std::uint32_t>> buckets_;  ///< Slot ids per state-pair key.
 
-  // Per-node incident-slot lists, hybrid layout: the first kInlineAdj
-  // entries of node u's list live in the flat adj_inline_ array (one cache
-  // line, no pointer chase -- the paper's protocols keep degrees tiny) and
-  // only entries past that spill into adj_over_[u]. Positions are
-  // contiguous across the two.
+  // Per-node incident-slot lists, for nodes in non-terminal states only
+  // (a terminal node's list is empty; see the header comment). Hybrid
+  // layout: the first kInlineAdj entries of node u's list live in the flat
+  // adj_inline_ array (one cache line, no pointer chase -- the paper's
+  // protocols keep degrees tiny) and only entries past that spill into
+  // adj_over_[u], released when u turns terminal. Positions are contiguous
+  // across the two.
   static constexpr std::uint32_t kInlineAdj = 4;
   std::vector<std::uint32_t> adj_inline_;  ///< kInlineAdj entries per node.
   std::vector<std::uint32_t> adj_len_;

@@ -78,11 +78,13 @@ class Scheduler {
   /// Reset any internal round state (called when a simulation restarts).
   virtual void reset() {}
   /// The scheduler's pair-weight model for a population of n nodes, or
-  /// nullptr when it has none (the census engine then falls back to exact
-  /// naive execution). Building the model may consume `rng` (e.g. to
-  /// embed the nodes in space); implementations must consume exactly the
-  /// draws their first next() call would, so an engine that asks for the
-  /// model up front leaves the trial's stream where the naive path would.
+  /// nullptr when it has none (the census engine then refuses the
+  /// scheduler: its constructor throws std::invalid_argument, and the
+  /// trial must run on the naive engine). Building the model may consume
+  /// `rng` (e.g. to embed the nodes in space); implementations must
+  /// consume exactly the draws their first next() call would, so an
+  /// engine that asks for the model up front leaves the trial's stream
+  /// where the naive path would.
   /// The returned model is owned by the scheduler and stays valid for the
   /// scheduler's lifetime.
   [[nodiscard]] virtual SchedulerWeightModel* weight_model(Rng& rng, int n) {

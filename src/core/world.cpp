@@ -5,7 +5,8 @@
 
 namespace netcons {
 
-World::World(const Protocol& protocol, int n) : n_(n), sparse_(n > kDenseNodeLimit) {
+World::World(const Protocol& protocol, int n)
+    : n_(n), sparse_(n > kDenseNodeLimit), wide_keys_(sparse_ && !narrow_pair_keys(n)) {
   if (n < 1) throw std::invalid_argument("World: need at least one node");
   states_.assign(static_cast<std::size_t>(n), protocol.initial_state());
   if (!sparse_) edge_bits_.assign((pair_count(n) + 63) / 64, 0);
@@ -15,10 +16,19 @@ World::World(const Protocol& protocol, int n) : n_(n), sparse_(n > kDenseNodeLim
 }
 
 bool World::sparse_edge(int u, int v) const noexcept {
-  return edge_set_.contains(pair_index(u, v));
+  const std::size_t i = pair_index(u, v);
+  if (wide_keys_) return wide_edge_set_.contains(i);
+  return edge_set_.contains(static_cast<std::uint32_t>(i));
 }
 
-bool World::PairSet::contains(std::uint64_t key) const noexcept {
+bool World::sparse_set_edge(std::size_t index, bool active) {
+  if (wide_keys_) return active ? wide_edge_set_.insert(index) : wide_edge_set_.erase(index);
+  const auto key = static_cast<std::uint32_t>(index);
+  return active ? edge_set_.insert(key) : edge_set_.erase(key);
+}
+
+template <typename Key>
+bool World::PairSet<Key>::contains(Key key) const noexcept {
   if (size_ == 0) return false;
   for (std::size_t i = home(key);; i = (i + 1) & mask_) {
     if (slots_[i] == key) return true;
@@ -26,15 +36,16 @@ bool World::PairSet::contains(std::uint64_t key) const noexcept {
   }
 }
 
-bool World::PairSet::insert(std::uint64_t key) {
+template <typename Key>
+bool World::PairSet<Key>::insert(Key key) {
   if (2 * (size_ + 1) > slots_.size()) {
     if (contains(key)) return false;
-    std::vector<std::uint64_t> old(std::max<std::size_t>(16, 2 * slots_.size()), kEmpty);
+    std::vector<Key> old(std::max<std::size_t>(16, 2 * slots_.size()), kEmpty);
     old.swap(slots_);
     mask_ = slots_.size() - 1;
     shift_ = 64 - std::countr_zero(slots_.size());
     size_ = 0;
-    for (const std::uint64_t k : old) {
+    for (const Key k : old) {
       if (k != kEmpty) insert(k);
     }
   }
@@ -47,7 +58,8 @@ bool World::PairSet::insert(std::uint64_t key) {
   return true;
 }
 
-bool World::PairSet::erase(std::uint64_t key) {
+template <typename Key>
+bool World::PairSet<Key>::erase(Key key) {
   if (size_ == 0) return false;
   std::size_t hole = home(key);
   for (; slots_[hole] != key; hole = (hole + 1) & mask_) {
@@ -66,15 +78,19 @@ bool World::PairSet::erase(std::uint64_t key) {
   return true;
 }
 
-std::vector<std::uint64_t> World::PairSet::sorted_keys() const {
-  std::vector<std::uint64_t> keys;
+template <typename Key>
+std::vector<Key> World::PairSet<Key>::sorted_keys() const {
+  std::vector<Key> keys;
   keys.reserve(size_);
-  for (const std::uint64_t k : slots_) {
+  for (const Key k : slots_) {
     if (k != kEmpty) keys.push_back(k);
   }
   std::sort(keys.begin(), keys.end());
   return keys;
 }
+
+template class World::PairSet<std::uint32_t>;
+template class World::PairSet<std::uint64_t>;
 
 void World::set_state(int u, StateId s) {
   if (!alive(u)) throw std::logic_error("World::set_state: node is crashed");
@@ -104,7 +120,7 @@ bool World::set_edge(int u, int v, bool active) {
     const bool old = (edge_bits_[i / 64] & mask) != 0;
     if (old == active) return false;
     edge_bits_[i / 64] ^= mask;
-  } else if (!(active ? edge_set_.insert(i) : edge_set_.erase(i))) {
+  } else if (!sparse_set_edge(i, active)) {
     return false;
   }
   ++version_;

@@ -13,8 +13,13 @@
 //    Global-Star's transient peaks at a slowly growing multiple of n
 //    (7.2n, 8.9n and 11.6n measured at n = 2^10, 2^12, 2^14 under census
 //    sampling) -- so edges live in one open-addressing set of pair_index
-//    keys sized to m. Every query keeps its contract on both storages,
-//    and for_each_active_edge visits edges in pair_index order on both.
+//    keys sized to m. The set's key width also follows n: 32-bit keys
+//    while every pair index fits below the empty-slot marker
+//    (pair_count(n) <= 2^32 - 1, i.e. n <= 92,682), which halves the
+//    table's footprint against 64-bit keys, and 64-bit keys above, the
+//    only width that can hold those indices. Every query keeps its
+//    contract on all three storages, and for_each_active_edge visits
+//    edges in pair_index order on each.
 //  * version() counts successful mutations, so an observer that mirrors
 //    the configuration (CensusEngine's census tables) can tell in O(1)
 //    whether anyone touched the world since it last synced.
@@ -26,6 +31,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -52,13 +58,24 @@ class World {
            static_cast<std::size_t>(u);
   }
   /// Number of unordered pairs over n nodes.
-  [[nodiscard]] static std::size_t pair_count(int n) noexcept {
+  [[nodiscard]] static constexpr std::size_t pair_count(int n) noexcept {
     return static_cast<std::size_t>(n) * (static_cast<std::size_t>(n) - 1) / 2;
+  }
+  /// Whether every pair index over n nodes fits a 32-bit pair-set key
+  /// with ~0u left free as the empty-slot marker (n <= 92,682).
+  [[nodiscard]] static constexpr bool narrow_pair_keys(int n) noexcept {
+    return pair_count(n) <= std::numeric_limits<std::uint32_t>::max();
   }
 
   /// Whether edges live in the pair set (true) or the dense triangular
   /// bitset (false).
   [[nodiscard]] bool sparse_edges() const noexcept { return sparse_; }
+  /// Bits per pair-set key: 32 or 64 on sparse storage (narrow_pair_keys),
+  /// 0 on the bitset.
+  [[nodiscard]] int pair_key_bits() const noexcept {
+    if (!sparse_) return 0;
+    return wide_keys_ ? 64 : 32;
+  }
 
   /// Mutation counter: set_state, set_edge and kill bump it on every
   /// successful mutation (no-ops leave it alone), so an observer that
@@ -117,9 +134,16 @@ class World {
   template <typename Fn>
   void for_each_active_edge(Fn&& fn) const {
     if (sparse_) {
-      for (const std::uint64_t key : edge_set_.sorted_keys()) {
-        const auto [u, v] = pair_at(key);
-        fn(u, v);
+      const auto visit = [&fn](const auto& keys) {
+        for (const auto key : keys) {
+          const auto [u, v] = pair_at(key);
+          fn(u, v);
+        }
+      };
+      if (wide_keys_) {
+        visit(wide_edge_set_.sorted_keys());
+      } else {
+        visit(edge_set_.sorted_keys());
       }
       return;
     }
@@ -157,6 +181,8 @@ class World {
 
  private:
   [[nodiscard]] bool sparse_edge(int u, int v) const noexcept;
+  /// set_edge on the pair set; true if it changed.
+  bool sparse_set_edge(std::size_t index, bool active);
   /// Inverse of pair_index: the pair (u, v), u < v, at `index`.
   [[nodiscard]] static std::pair<int, int> pair_at(std::size_t index) noexcept {
     auto v = static_cast<std::size_t>(
@@ -166,24 +192,26 @@ class World {
     return {static_cast<int>(index - v * (v - 1) / 2), static_cast<int>(v)};
   }
 
-  /// Set of pair_index keys: power-of-two capacity with a multiplicative
-  /// (Fibonacci) hash, linear probing at load <= 1/2 (doubling when an
-  /// insert would pass it), and backward-shift deletion, so no tombstones
-  /// build up under edge churn.
+  /// Set of pair_index keys of type Key (std::uint32_t or std::uint64_t;
+  /// the all-ones key marks an empty slot): power-of-two capacity with a
+  /// multiplicative (Fibonacci) hash, linear probing at load <= 1/2
+  /// (doubling when an insert would pass it), and backward-shift deletion,
+  /// so no tombstones build up under edge churn.
+  template <typename Key>
   class PairSet {
    public:
-    [[nodiscard]] bool contains(std::uint64_t key) const noexcept;
+    [[nodiscard]] bool contains(Key key) const noexcept;
     /// Insert / erase report whether the set changed.
-    bool insert(std::uint64_t key);
-    bool erase(std::uint64_t key);
-    [[nodiscard]] std::vector<std::uint64_t> sorted_keys() const;
+    bool insert(Key key);
+    bool erase(Key key);
+    [[nodiscard]] std::vector<Key> sorted_keys() const;
 
    private:
-    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-    [[nodiscard]] std::size_t home(std::uint64_t key) const noexcept {
-      return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+    static constexpr Key kEmpty = std::numeric_limits<Key>::max();
+    [[nodiscard]] std::size_t home(Key key) const noexcept {
+      return static_cast<std::size_t>((std::uint64_t{key} * 0x9E3779B97F4A7C15ULL) >> shift_);
     }
-    std::vector<std::uint64_t> slots_;
+    std::vector<Key> slots_;
     std::size_t mask_ = 0;
     int shift_ = 0;
     std::size_t size_ = 0;
@@ -192,10 +220,12 @@ class World {
   int n_ = 0;
   int dead_count_ = 0;
   bool sparse_ = false;
+  bool wide_keys_ = false;  ///< Sparse mode with !narrow_pair_keys(n).
   std::int64_t active_edges_ = 0;
   std::vector<StateId> states_;
   std::vector<std::uint64_t> edge_bits_;  ///< Dense mode only.
-  PairSet edge_set_;                      ///< Sparse mode only.
+  PairSet<std::uint32_t> edge_set_;       ///< Sparse mode, narrow keys.
+  PairSet<std::uint64_t> wide_edge_set_;  ///< Sparse mode, wide keys.
   std::vector<int> degree_;
   std::vector<int> census_;
   std::vector<char> dead_;  ///< Allocated on first kill(); empty when all alive.

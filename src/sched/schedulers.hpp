@@ -11,10 +11,11 @@
 //   the least recently played pairs, probing sensitivity of measured times.
 // Random-permutation and stale-biased export a UniformPairWeightModel
 // (their single-step marginal law is uniform by symmetry), so the census
-// engine runs them on weighted sampling instead of the naive fallback;
-// temporal correlations are deliberately dropped, and the CI
-// weighted-census KS gate bounds the effect. ScriptedScheduler exports no
-// model -- an exact script must execute step-for-step.
+// engine runs them on weighted sampling; temporal correlations are
+// deliberately dropped, and the CI weighted-census KS gate bounds the
+// effect. ScriptedScheduler exports no model -- an exact script must
+// execute step-for-step -- so the census engine refuses it (its
+// constructor throws std::invalid_argument); run it on the naive engine.
 #pragma once
 
 #include "core/scheduler.hpp"

@@ -1,8 +1,9 @@
 // Web-scale census machinery: the Fenwick-tree class sampler against an
 // independent linear scan, incrementally updated SoA tables against
 // from-scratch rebuilds, the World::version() sync rule (outside mutations
-// and fault events cost one rebuild), and the World pair-set edge
-// storage that serves populations past the dense-bitset limit.
+// and fault events cost one rebuild), the incidence lists kept only for
+// nodes in non-terminal states, and the World pair-set edge storage (both
+// key widths) that serves populations past the dense-bitset limit.
 #include "core/census_engine.hpp"
 
 #include "campaign/registry.hpp"
@@ -13,6 +14,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -231,6 +234,136 @@ TEST(CensusDeltas, EveryFaultKindCostsOneRebuildPerFiring) {
   }
 }
 
+// --- terminal states and incidence lists ----------------------------------
+
+/// Terminal states by brute force: a two-node naive simulator is set to
+/// every encounter (a, b, c) 64 times over, so coin rules and the
+/// same-state swap show each of their outcomes; a state is terminal iff no
+/// executed step ever moved a node out of it.
+std::vector<StateId> brute_force_terminal_states(const Protocol& protocol) {
+  const int q = protocol.state_count();
+  std::vector<bool> left(static_cast<std::size_t>(q), false);
+  Simulator sim(protocol, 2, 31337);
+  World& w = sim.mutable_world();
+  for (int a = 0; a < q; ++a) {
+    for (int b = 0; b < q; ++b) {
+      for (const bool c : {false, true}) {
+        for (int rep = 0; rep < 64; ++rep) {
+          w.set_state(0, static_cast<StateId>(a));
+          w.set_state(1, static_cast<StateId>(b));
+          w.set_edge(0, 1, c);
+          if (!sim.step()) continue;
+          if (w.state(0) != a) left[static_cast<std::size_t>(a)] = true;
+          if (w.state(1) != b) left[static_cast<std::size_t>(b)] = true;
+        }
+      }
+    }
+  }
+  std::vector<StateId> out;
+  for (int s = 0; s < q; ++s) {
+    if (!left[static_cast<std::size_t>(s)]) out.push_back(static_cast<StateId>(s));
+  }
+  return out;
+}
+
+TEST(CensusIncidence, TerminalStatesMatchABruteForceOracle) {
+  // Every other registered protocol has none.
+  const std::map<std::string, std::set<std::string>> expected = {
+      {"cycle-cover", {"q2"}},     {"degree-doubling", {"a3"}},
+      {"global-star", {"p"}},      {"partition-udm", {"qu", "qm"}},
+      {"preelected-line", {"q1"}}, {"spanning-net", {"b"}}};
+  for (const std::string& name : campaign::protocol_names()) {
+    SCOPED_TRACE(name);
+    const Protocol protocol = campaign::make_protocol(name)->protocol;
+    const std::vector<StateId> terminal = terminal_states(protocol);
+    EXPECT_EQ(terminal, brute_force_terminal_states(protocol));
+    std::set<std::string> names;
+    for (const StateId t : terminal) names.insert(protocol.state_name(t));
+    const auto it = expected.find(name);
+    EXPECT_EQ(names, it == expected.end() ? std::set<std::string>{} : it->second);
+  }
+  EXPECT_EQ(campaign::protocol_names().size(), 13u);
+}
+
+std::unique_ptr<Scheduler> scheduler_from_spec(const std::string& spec) {
+  const auto option = campaign::make_scheduler(spec);
+  EXPECT_TRUE(option.has_value()) << spec;
+  return option->make ? option->make() : nullptr;
+}
+
+TEST(CensusIncidence, ListsTrackExactlyTheNonTerminalNodesWhileStepping) {
+  // Nodes in terminal states keep no incidence list; everyone else lists
+  // exactly their incident slots, checked every 16 effective steps under
+  // the uniform law and under proximity (whose endgame runs the listed
+  // and dense regimes).
+  for (const char* name : {"global-star", "cycle-cover", "spanning-net", "simple-global-line"}) {
+    for (const char* sched : {"uniform", "proximity:alpha=2:r=0.3"}) {
+      SCOPED_TRACE(std::string(name) + " / " + sched);
+      const ProtocolSpec spec = *campaign::make_protocol(name);
+      CensusEngine engine(spec.protocol, 40, 4242, scheduler_from_spec(sched));
+      ASSERT_EQ(engine.debug_incidence_violation(), "");
+      for (int chunk = 0; chunk < 400 && engine.effective_pair_weight() > 0; ++chunk) {
+        run_effective(engine, 16);
+        ASSERT_EQ(engine.debug_incidence_violation(), "") << "after chunk " << chunk;
+      }
+      EXPECT_EQ(engine.stats().full_rebuilds, 1u);
+    }
+  }
+}
+
+TEST(CensusIncidence, FaultRebuildRestoresListsForNodesLeavingTerminalStates) {
+  // A reset moves terminal Global-Star peripherals (p) back to c, which
+  // only a rebuild can follow: after each fault run, and after one more
+  // outside reset of a p node with edges, the lists hold again.
+  const ProtocolSpec spec = *campaign::make_protocol("global-star");
+  const StateId c = *spec.protocol.state_by_name("c");
+  for (const char* plan : {"reset:k=3", "crash:k=1:at=400:every=600:times=3"}) {
+    SCOPED_TRACE(plan);
+    CensusEngine engine(spec.protocol, 40, 8);
+    faults::FaultSession session(faults::parse_fault_plan(plan), 8);
+    const ConvergenceReport report = faults::run_until_stable_with_faults(engine, session);
+    ASSERT_TRUE(report.stabilized);
+    EXPECT_EQ(engine.stats().full_rebuilds, 1 + report.faults_injected);
+    EXPECT_EQ(engine.debug_incidence_violation(), "");
+
+    World& w = engine.mutable_world();
+    int peripheral = -1;
+    for (int u = 0; u < w.size() && peripheral < 0; ++u) {
+      if (w.alive(u) && w.state(u) != c && w.active_degree(u) > 0) peripheral = u;
+    }
+    ASSERT_GE(peripheral, 0);
+    w.set_state(peripheral, c);
+    EXPECT_EQ(engine.debug_incidence_violation(), "");
+    EXPECT_EQ(engine.stats().full_rebuilds, 2 + report.faults_injected);
+    run_effective(engine, 8);
+    EXPECT_EQ(engine.debug_incidence_violation(), "");
+  }
+}
+
+TEST(CensusIncidence, BucketScanLookupsKeepTablesEqualToARebuild) {
+  // Global-Star under proximity at n = 32 reaches the dense regime while
+  // (p, p, 1) edges remain, whose endpoints are both terminal: their slot
+  // is found by a bucket scan. After every step the tables must render
+  // like a fresh rebuild, with no rebuild besides the forced ones.
+  const ProtocolSpec spec = *campaign::make_protocol("global-star");
+  std::uint64_t scans = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    CensusEngine engine(spec.protocol, 32, seed, scheduler_from_spec("proximity:alpha=2:r=0.3"));
+    std::uint64_t forced = 0;
+    while (engine.effective_pair_weight() > 0) {
+      ASSERT_TRUE(engine.step());
+      const std::string stepped = engine.debug_table_snapshot();
+      ASSERT_EQ(engine.debug_incidence_violation(), "");
+      ASSERT_EQ(engine.stats().full_rebuilds, 1 + forced) << "seed " << seed;
+      engine.debug_force_full_rebuild();
+      ++forced;
+      ASSERT_EQ(stepped, engine.debug_table_snapshot()) << "seed " << seed;
+    }
+    scans += engine.stats().slot_scans;
+  }
+  EXPECT_GT(scans, 0u);
+}
+
 // --- sparse edge storage ---------------------------------------------------
 
 /// Churn, then random set_edge / kill on `nodes` (indices into a World of
@@ -328,11 +461,14 @@ TEST(SparseWorld, DenseStorageMatchesReferenceUnderRandomMutations) {
 
 TEST(SparseWorld, SparseStorageMatchesReferenceUnderRandomMutations) {
   // Mutations on a 64-node subset spread over the whole id range, so
-  // pair_index keys span the whole key range too.
-  const int n = World::kDenseNodeLimit + 1;
-  std::vector<int> nodes(64);
-  for (int i = 0; i < 64; ++i) nodes[static_cast<std::size_t>(i)] = i * (n - 1) / 63;
-  check_world_against_reference(n, nodes, /*sparse=*/true);
+  // pair_index keys span the whole key range too: at both key widths, the
+  // second past 2^32 (the widest narrow population is 92,682).
+  for (const int n : {World::kDenseNodeLimit + 1, 92683}) {
+    SCOPED_TRACE(n);
+    std::vector<int> nodes(64);
+    for (int i = 0; i < 64; ++i) nodes[static_cast<std::size_t>(i)] = i * (n - 1) / 63;
+    check_world_against_reference(n, nodes, /*sparse=*/true);
+  }
 }
 
 TEST(SparseWorld, ForEachActiveEdgeVisitsPairIndexOrderOnBothStorages) {
@@ -380,6 +516,13 @@ TEST(SparseWorld, AutoStorageCrossesOverAtTheDenseLimit) {
   EXPECT_FALSE(World(spec.protocol, 64).sparse_edges());
   EXPECT_FALSE(World(spec.protocol, World::kDenseNodeLimit).sparse_edges());
   EXPECT_TRUE(World(spec.protocol, World::kDenseNodeLimit + 1).sparse_edges());
+  // Pair-set keys are 32-bit while every pair index fits below ~0u.
+  EXPECT_EQ(World(spec.protocol, World::kDenseNodeLimit).pair_key_bits(), 0);
+  EXPECT_EQ(World(spec.protocol, World::kDenseNodeLimit + 1).pair_key_bits(), 32);
+  EXPECT_EQ(World(spec.protocol, 92682).pair_key_bits(), 32);
+  EXPECT_EQ(World(spec.protocol, 92683).pair_key_bits(), 64);
+  EXPECT_TRUE(World::narrow_pair_keys(92682));
+  EXPECT_FALSE(World::narrow_pair_keys(92683));
 }
 
 TEST(SparseWorld, CensusEngineStabilizesCycleCoverPastTheDenseLimit) {
